@@ -41,10 +41,7 @@ fn ablation_admission_control(dev: &DeviceConfig) {
     let (dropping, dropped) =
         sched::policy::clockwork_with_dropping(&trace.arrivals, deployment.table(), alpha);
     let split = simulate(
-        &Policy::Split(SplitCfg {
-            alpha,
-            elastic: None,
-        }),
+        &Policy::Split(SplitCfg { elastic: None }),
         &trace.arrivals,
         deployment.table(),
     );
@@ -89,10 +86,7 @@ fn ablation_even_vs_uneven(_dev: &DeviceConfig) {
 
     let trace =
         RequestTrace::generate_weighted(Scenario::table2(3), &[("short", 3.0), ("long", 2.0)]);
-    let cfg = Policy::Split(SplitCfg {
-        alpha: 4.0,
-        elastic: None,
-    });
+    let cfg = Policy::Split(SplitCfg { elastic: None });
     for (name, blocks) in [("even", even), ("uneven", uneven)] {
         let r = simulate(&cfg, &trace.arrivals, &table(blocks));
         let shorts: Vec<f64> = r
@@ -163,10 +157,7 @@ fn ablation_elastic(dev: &DeviceConfig) {
         ("elastic OFF", None),
     ] {
         let r = simulate(
-            &Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic,
-            }),
+            &Policy::Split(SplitCfg { elastic }),
             &arrivals,
             deployment.table(),
         );
@@ -191,10 +182,7 @@ fn ablation_queue_discipline(dev: &DeviceConfig) {
 
     // Greedy (SPLIT proper).
     let greedy = simulate(
-        &Policy::Split(SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }),
+        &Policy::Split(SplitCfg { elastic: None }),
         &trace.arrivals,
         deployment.table(),
     );

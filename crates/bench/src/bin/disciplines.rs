@@ -61,10 +61,7 @@ fn main() {
         (
             "SPLIT (even blocks + greedy preempt)",
             simulate(
-                &Policy::Split(SplitCfg {
-                    alpha: 4.0,
-                    elastic: None,
-                }),
+                &Policy::Split(SplitCfg { elastic: None }),
                 &trace.arrivals,
                 table,
             ),

@@ -34,18 +34,12 @@ fn main() {
         ("Sequential", Policy::ClockWork, table(vec![60_000.0])),
         (
             "Uneven split (48+6+6)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             table(vec![48_000.0, 6_000.0, 6_000.0]),
         ),
         (
             "SPLIT even (3 x 20)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             table(vec![20_000.0, 20_000.0, 20_000.0]),
         ),
     ];

@@ -38,17 +38,7 @@ fn main() {
         // Attach the uniform lifecycle events so the analyzer can check
         // the full recording, then gate the figure's numbers on it.
         let partial = attach_lifecycle(&arrivals, block_round_robin(&arrivals, &t));
-        let full = attach_lifecycle(
-            &arrivals,
-            split(
-                &arrivals,
-                &t,
-                &SplitCfg {
-                    alpha: 4.0,
-                    elastic: None,
-                },
-            ),
-        );
+        let full = attach_lifecycle(&arrivals, split(&arrivals, &t, &SplitCfg { elastic: None }));
         bench::verify_block_granular("block round-robin", &arrivals, &t, &partial);
         bench::verify_block_granular("SPLIT", &arrivals, &t, &full);
         let get = |r: &sched::SimResult, id: u64| {
@@ -108,17 +98,7 @@ fn main() {
     ];
     for (mode, r) in [
         ("partial", block_round_robin(&arrivals, &t)),
-        (
-            "full",
-            split(
-                &arrivals,
-                &t,
-                &SplitCfg {
-                    alpha: 4.0,
-                    elastic: None,
-                },
-            ),
-        ),
+        ("full", split(&arrivals, &t, &SplitCfg { elastic: None })),
     ] {
         let r = attach_lifecycle(&arrivals, r);
         let path = bench::results_dir().join(format!("fig3_{mode}.trace.json"));

@@ -70,18 +70,12 @@ fn main() {
         ),
         (
             "block-level GA plans (SPLIT)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             deployment.table(),
         ),
         (
             "operator-level, free (REEF-like)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             &op_table,
         ),
     ];

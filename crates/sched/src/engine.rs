@@ -378,10 +378,7 @@ mod tests {
                 .unwrap()
                 .e2e_us()
         };
-        let split = e2e(&Policy::Split(crate::policy::SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }));
+        let split = e2e(&Policy::Split(crate::policy::SplitCfg { elastic: None }));
         for p in [
             Policy::ClockWork,
             Policy::Prema(Default::default()),

@@ -157,14 +157,7 @@ mod tests {
         let arrivals = vec![arrival(0, "a", 0.0), arrival(1, "b", 2_000.0)];
         let t = table();
         let partial = block_round_robin(&arrivals, &t);
-        let full = crate::policy::split(
-            &arrivals,
-            &t,
-            &crate::policy::SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            },
-        );
+        let full = crate::policy::split(&arrivals, &t, &crate::policy::SplitCfg { elastic: None });
         let b_partial = partial.completions.iter().find(|c| c.id == 1).unwrap();
         let b_full = full.completions.iter().find(|c| c.id == 1).unwrap();
         assert!(

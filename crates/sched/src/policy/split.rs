@@ -22,9 +22,6 @@ use workload::Arrival;
 /// SPLIT policy configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SplitCfg {
-    /// Latency-target multiplier α used inside response-ratio comparisons
-    /// (footnote 3; the evaluation sweeps the *metric's* α separately).
-    pub alpha: f64,
     /// Elastic splitting thresholds; `None` disables elasticity (always
     /// split — used by the ablation bench).
     pub elastic: Option<ElasticConfig>,
@@ -33,7 +30,6 @@ pub struct SplitCfg {
 impl Default for SplitCfg {
     fn default() -> Self {
         Self {
-            alpha: 4.0,
             elastic: Some(ElasticConfig::default()),
         }
     }
@@ -79,8 +75,8 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                 let id = head.id;
                 let st = states.get_mut(&id).expect("queued request has state");
                 let blk = st.blocks.pop_front().expect("queued request has blocks");
-                // The in-flight block leaves the entry's `left_us`; future
-                // preemption decisions see it as `base_wait` instead.
+                // The in-flight block leaves the entry's `left_us`:
+                // preemption decisions weigh only work still reorderable.
                 head.left_us -= blk;
                 let name = &st.model.name;
                 // Index by blocks this request has actually executed — a
@@ -151,7 +147,6 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                         blocks_done: 0,
                     },
                 );
-                let base_wait = running.map(|(_, e)| e - now).unwrap_or(0.0);
                 let t0 = Instant::now();
                 let decision = greedy_preempt(
                     &mut queue,
@@ -162,9 +157,6 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                         left_us: left,
                         arrival_us: now,
                     },
-                    base_wait,
-                    now,
-                    cfg.alpha,
                 );
                 let decision_ns = t0.elapsed().as_nanos() as u64;
                 recorder.record(Event::PreemptDecision {
@@ -263,10 +255,7 @@ mod tests {
     }
 
     fn cfg_no_elastic() -> SplitCfg {
-        SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }
+        SplitCfg { elastic: None }
     }
 
     #[test]
@@ -353,7 +342,6 @@ mod tests {
             &arrivals,
             &table(),
             &SplitCfg {
-                alpha: 4.0,
                 elastic: Some(elastic),
             },
         );

@@ -20,10 +20,7 @@ fn table() -> ModelTable {
 }
 
 fn split_policy() -> Policy {
-    Policy::Split(SplitCfg {
-        alpha: 4.0,
-        elastic: None,
-    })
+    Policy::Split(SplitCfg { elastic: None })
 }
 
 #[test]

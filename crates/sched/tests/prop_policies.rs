@@ -111,7 +111,7 @@ proptest! {
     /// planned number of blocks.
     #[test]
     fn split_runs_exactly_the_planned_blocks((table, arrivals) in workload_strategy()) {
-        let cfg = SplitCfg { alpha: 4.0, elastic: None };
+        let cfg = SplitCfg { elastic: None };
         let r = simulate(&Policy::Split(cfg), &arrivals, &table);
         for a in &arrivals {
             let planned = table.get(&a.model).blocks_us.len();
@@ -127,7 +127,7 @@ proptest! {
     /// of every request's planned block time (elasticity off).
     #[test]
     fn split_work_conservation((table, arrivals) in workload_strategy()) {
-        let cfg = SplitCfg { alpha: 4.0, elastic: None };
+        let cfg = SplitCfg { elastic: None };
         let r = simulate(&Policy::Split(cfg), &arrivals, &table);
         let busy: f64 = r.trace.events().iter().map(|e| e.duration_us()).sum();
         let expected: f64 = arrivals.iter().map(|a| table.get(&a.model).split_total_us()).sum();

@@ -31,10 +31,7 @@ fn workload(n: u64) -> Vec<Arrival> {
 #[test]
 fn split_completions_match_trace_spans() {
     let r = simulate(
-        &Policy::Split(SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }),
+        &Policy::Split(SplitCfg { elastic: None }),
         &workload(30),
         &table(),
     );

@@ -14,15 +14,37 @@
 //!    and equal targets mean reordering them can only hurt.
 //!
 //! The algorithm appends the new request at the tail and bubbles it
-//! forward past each neighbor while doing so lowers the *pair's average
+//! forward past each neighbor while doing so lowers the *pair's summed
 //! response ratio*, stopping at the queue head, at a same-task neighbor,
 //! or when a swap stops helping — exactly the three stopping conditions of
-//! §3.4. Worst case O(n) response-ratio evaluations; typically O(k) where
-//! k is the number of distinct task types present.
+//! §3.4. Worst case O(n) comparisons; typically O(k) where k is the number
+//! of distinct task types present.
 //!
 //! The response ratio follows Algorithm 1's `ResponseRatio`: predicted
 //! end-to-end latency over the *latency target* `α·Ext(t)` (footnote 3,
 //! after PREMA), so a ratio above 1 predicts a QoS violation.
+//!
+//! # The swap test is Smith's rule
+//!
+//! Let `W` be the wait ahead of the pair, `w` each request's time already
+//! waited, `l` its remaining time and `e` its isolated time. Swapping
+//! `ahead` and `new` lowers the pair's summed ratio iff
+//!
+//! ```text
+//! (w_n + W + l_n)/(α e_n) + (w_a + W + l_n + l_a)/(α e_a)
+//!   < (w_a + W + l_a)/(α e_a) + (w_n + W + l_a + l_n)/(α e_n)
+//! ⇔ l_n/(α e_a) < l_a/(α e_n)
+//! ⇔ l_n · e_n < l_a · e_a
+//! ```
+//!
+//! The waits, `now`, the in-flight block and α all cancel: what remains is
+//! the WSPT exchange rule with weights `1/e`. [`greedy_preempt`] therefore
+//! compares one key, `left_us · exec_us`, per neighbor — no prefix sum over
+//! the queue, no ratios, no epsilon. Round-to-nearest is monotone, so the
+//! strict f64 `<` never reverses the exact order; products less than one
+//! ulp apart may round to equal, which reads as a tie and keeps the queue
+//! order. [`algorithm1_preempt`] keeps the paper's ratio form so the two
+//! can be property-tested against each other (`tests/prop_preempt.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -79,8 +101,9 @@ pub enum StopReason {
 }
 
 /// Insert `new` into `queue` (ordered head-first) with the greedy
-/// preemption rule. `base_wait_us` is the device time before the queue
-/// head can start (the non-preemptible remainder of the in-flight block).
+/// preemption rule: bubble `new` forward past each neighbor of a different
+/// task while its key `left_us · exec_us` is strictly smaller (Smith's
+/// rule; see the module docs for why this is Algorithm 1's swap test).
 ///
 /// Returns the decision; `queue` is modified in place.
 ///
@@ -94,19 +117,12 @@ pub enum StopReason {
 /// let short = QueueEntry {
 ///     id: 2, task: 1, exec_us: 5_000.0, left_us: 5_000.0, arrival_us: 100.0,
 /// };
-/// let decision = greedy_preempt(&mut queue, short, 0.0, 100.0, 4.0);
+/// let decision = greedy_preempt(&mut queue, short);
 /// assert_eq!(decision.position, 0);
 /// assert_eq!(queue[0].id, 2);
 /// ```
-pub fn greedy_preempt(
-    queue: &mut Vec<QueueEntry>,
-    new: QueueEntry,
-    base_wait_us: f64,
-    now_us: f64,
-    alpha: f64,
-) -> PreemptDecision {
-    // Wait ahead of `new` if it sits at the tail: base + everyone's left.
-    let mut wait_before: f64 = base_wait_us + queue.iter().map(|e| e.left_us).sum::<f64>();
+pub fn greedy_preempt(queue: &mut Vec<QueueEntry>, new: QueueEntry) -> PreemptDecision {
+    let key = new.left_us * new.exec_us;
     let mut pos = queue.len();
     let mut comparisons = 0usize;
     let mut stop = StopReason::QueueHead;
@@ -118,21 +134,8 @@ pub fn greedy_preempt(
             break;
         }
         comparisons += 1;
-        // Wait of the pair's front slot (everything ahead of `ahead`).
-        let front_wait = wait_before - ahead.left_us;
-
-        // Current order: ahead first, new second.
-        let rr_ahead_front = response_ratio(ahead, front_wait, now_us, alpha);
-        let rr_new_back = response_ratio(&new, front_wait + ahead.left_us, now_us, alpha);
-        // Swapped: new first, ahead second.
-        let rr_new_front = response_ratio(&new, front_wait, now_us, alpha);
-        let rr_ahead_back = response_ratio(ahead, front_wait + new.left_us, now_us, alpha);
-
-        let current = rr_ahead_front + rr_new_back;
-        let swapped = rr_new_front + rr_ahead_back;
-        if swapped + 1e-12 < current {
+        if key < ahead.left_us * ahead.exec_us {
             pos -= 1;
-            wait_before = front_wait;
         } else {
             stop = StopReason::NoGain;
             break;
@@ -155,8 +158,8 @@ pub fn greedy_preempt(
 /// head**, comparing the new request's response-ratio delta against the
 /// displaced request's. Spelled out, the insertion condition at each step
 /// is exactly "swapping the pair lowers their summed response ratio",
-/// which is what [`greedy_preempt`] implements as a bubble pass; the
-/// equivalence is property-tested (`tests/prop_preempt.rs`). This
+/// which [`greedy_preempt`] reduces to one key comparison (module docs);
+/// the equivalence is property-tested (`tests/prop_preempt.rs`). This
 /// transliteration exists so a reader can diff the code against the
 /// paper line by line.
 ///
@@ -244,7 +247,7 @@ mod tests {
     #[test]
     fn empty_queue_inserts_at_head() {
         let mut q = Vec::new();
-        let d = greedy_preempt(&mut q, entry(1, 0, 100.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(1, 0, 100.0, 0.0));
         assert_eq!(d.position, 0);
         assert_eq!(d.stop, StopReason::QueueHead);
         assert_eq!(q.len(), 1);
@@ -255,7 +258,7 @@ mod tests {
         // A long request waits; a short one arrives: the short one's RR
         // gain dwarfs the long one's loss, so it jumps ahead.
         let mut q = vec![entry(1, 0, 60_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 1, 5_000.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 1, 5_000.0, 0.0));
         assert_eq!(d.position, 0, "short request must preempt");
         assert_eq!(q[0].id, 2);
         assert_eq!(q[1].id, 1);
@@ -264,7 +267,7 @@ mod tests {
     #[test]
     fn long_does_not_preempt_short() {
         let mut q = vec![entry(1, 1, 5_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 0, 60_000.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 0, 60_000.0, 0.0));
         assert_eq!(d.position, 1, "long request must queue behind");
         assert_eq!(d.stop, StopReason::NoGain);
     }
@@ -272,10 +275,13 @@ mod tests {
     #[test]
     fn same_task_stays_fifo() {
         let mut q = vec![entry(1, 3, 10_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(2, 3, 10_000.0, 100.0), 0.0, 100.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(2, 3, 10_000.0, 100.0));
         assert_eq!(d.position, 1);
         assert_eq!(d.stop, StopReason::SameTask);
-        assert_eq!(d.comparisons, 0, "same-task check precedes any RR math");
+        assert_eq!(
+            d.comparisons, 0,
+            "same-task check precedes any key comparison"
+        );
     }
 
     #[test]
@@ -283,7 +289,7 @@ mod tests {
         // Queue: [long(task0), short(task7)]; new short of task7 cannot
         // pass its sibling even though it could pass the long one.
         let mut q = vec![entry(1, 7, 5_000.0, 0.0), entry(2, 0, 60_000.0, 0.0)];
-        let d = greedy_preempt(&mut q, entry(3, 7, 5_000.0, 10.0), 0.0, 10.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(3, 7, 5_000.0, 10.0));
         // Bubbles past the long request (tail) then stops at the sibling.
         assert_eq!(q.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3, 2]);
         assert_eq!(d.stop, StopReason::SameTask);
@@ -297,7 +303,7 @@ mod tests {
         let mut q: Vec<QueueEntry> = (0..n)
             .map(|i| entry(i as u64, i as u32, 50_000.0, 0.0))
             .collect();
-        let d = greedy_preempt(&mut q, entry(999, 999, 100.0, 0.0), 0.0, 0.0, ALPHA);
+        let d = greedy_preempt(&mut q, entry(999, 999, 100.0, 0.0));
         assert_eq!(d.position, 0);
         assert_eq!(d.comparisons, n);
         assert_eq!(d.stop, StopReason::QueueHead);
@@ -313,9 +319,10 @@ mod tests {
             entry(2, 1, 9_000.0, 100.0),
             entry(3, 2, 25_000.0, 200.0),
         ];
-        let new = entry(4, 3, 12_000.0, now);
+        // The in-flight block's remainder delays every slot alike; the
+        // ratios below include it, the decision never needed it.
         let base = 500.0;
-        let d = greedy_preempt(&mut q, new.clone(), base, now, ALPHA);
+        let d = greedy_preempt(&mut q, entry(4, 3, 12_000.0, now));
         let pos = d.position;
 
         let pair_sum = |q: &Vec<QueueEntry>, i: usize| {
@@ -355,14 +362,38 @@ mod tests {
     }
 
     #[test]
-    fn base_wait_penalizes_everyone_equally() {
-        // The in-flight block delays all candidates identically, so it must
-        // not change the chosen order — only the absolute ratios.
-        let mk = || vec![entry(1, 0, 60_000.0, 0.0), entry(2, 1, 30_000.0, 0.0)];
-        let mut q1 = mk();
-        let mut q2 = mk();
-        let d1 = greedy_preempt(&mut q1, entry(3, 2, 5_000.0, 0.0), 0.0, 0.0, ALPHA);
-        let d2 = greedy_preempt(&mut q2, entry(3, 2, 5_000.0, 0.0), 20_000.0, 0.0, ALPHA);
-        assert_eq!(d1.position, d2.position);
+    fn equal_keys_across_tasks_keep_queue_order() {
+        // left·exec ties exactly (10_000·4_000 = 20_000·2_000): no swap
+        // lowers the pair's summed ratio, so the newcomer stays behind.
+        let mut q = vec![QueueEntry {
+            left_us: 10_000.0,
+            ..entry(1, 0, 4_000.0, 0.0)
+        }];
+        let d = greedy_preempt(
+            &mut q,
+            QueueEntry {
+                left_us: 20_000.0,
+                ..entry(2, 1, 2_000.0, 0.0)
+            },
+        );
+        assert_eq!(d.position, 1);
+        assert_eq!(d.stop, StopReason::NoGain);
+        assert_eq!(d.comparisons, 1);
+        assert_eq!(q.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn downgraded_same_task_request_stays_fifo() {
+        // An elastic downgrade runs vanilla, so its left_us (no splitting
+        // overhead) is below its split sibling's: a smaller key that the
+        // key rule alone would let pass. The FIFO stop comes first.
+        let mut q = vec![QueueEntry {
+            left_us: 66_000.0,
+            ..entry(1, 5, 60_000.0, 0.0)
+        }];
+        let d = greedy_preempt(&mut q, entry(2, 5, 60_000.0, 10.0));
+        assert_eq!(d.position, 1);
+        assert_eq!(d.stop, StopReason::SameTask);
+        assert_eq!(d.comparisons, 0);
     }
 }

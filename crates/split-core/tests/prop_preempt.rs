@@ -35,12 +35,11 @@ fn pair_sum(q: &[QueueEntry], i: usize, base: f64, now: f64) -> f64 {
 proptest! {
     /// Insertion keeps everyone present and in a valid position.
     #[test]
-    fn preempt_preserves_queue(mut q in queue_strategy(), new in entry_strategy(), base in 0.0f64..30_000.0) {
+    fn preempt_preserves_queue(mut q in queue_strategy(), new in entry_strategy()) {
         let n = q.len();
         let mut new = new;
         new.id = 999;
-        let now = 60_000.0;
-        let d = greedy_preempt(&mut q, new, base, now, ALPHA);
+        let d = greedy_preempt(&mut q, new);
         prop_assert_eq!(q.len(), n + 1);
         prop_assert!(d.position <= n);
         prop_assert_eq!(q[d.position].id, 999);
@@ -52,12 +51,11 @@ proptest! {
     /// FIFO per task: the new request never sits in front of an
     /// earlier-arrived request of the same task.
     #[test]
-    fn preempt_respects_same_task_fifo(mut q in queue_strategy(), new in entry_strategy(), base in 0.0f64..30_000.0) {
+    fn preempt_respects_same_task_fifo(mut q in queue_strategy(), new in entry_strategy()) {
         let mut new = new;
         new.id = 999;
         let task = new.task;
-        let now = 60_000.0;
-        greedy_preempt(&mut q, new, base, now, ALPHA);
+        greedy_preempt(&mut q, new);
         let my_pos = q.iter().position(|e| e.id == 999).unwrap();
         for e in &q[my_pos + 1..] {
             prop_assert!(e.task != task,
@@ -73,7 +71,7 @@ proptest! {
         let mut new = new;
         new.id = 999;
         let now = 60_000.0;
-        let d = greedy_preempt(&mut q, new, base, now, ALPHA);
+        let d = greedy_preempt(&mut q, new);
         let i = d.position;
         // Backward swap (new moves one later).
         if i + 1 < q.len() {
@@ -101,7 +99,7 @@ proptest! {
         let n = q.len();
         let mut new = new;
         new.id = 999;
-        let d = greedy_preempt(&mut q, new, 0.0, 60_000.0, ALPHA);
+        let d = greedy_preempt(&mut q, new);
         prop_assert!(d.comparisons <= n);
     }
 
@@ -114,7 +112,7 @@ proptest! {
         let mut b = b; b.id = 2;
         prop_assume!(a.task != b.task);
         let mut q = vec![a.clone()];
-        greedy_preempt(&mut q, b.clone(), 0.0, now, ALPHA);
+        greedy_preempt(&mut q, b.clone());
 
         let total = |first: &QueueEntry, second: &QueueEntry| {
             response_ratio(first, 0.0, now, ALPHA)
@@ -127,25 +125,50 @@ proptest! {
     }
 }
 
+/// An entry whose remaining time is independent of its isolated time
+/// (a partly run head, an elastic downgrade) and whose arrival lies
+/// anywhere in the first 1e9 µs.
+fn wide_entry_strategy() -> impl Strategy<Value = QueueEntry> {
+    (0u32..8, 1_000.0f64..80_000.0, 1.0f64..90_000.0, 0.0f64..1e9).prop_map(
+        |(task, exec, left, arrival)| QueueEntry {
+            id: 0,
+            task,
+            exec_us: exec,
+            left_us: left,
+            arrival_us: arrival,
+        },
+    )
+}
+
+/// The context Algorithm 1 reads and the key rule ignores: α ∈ {1,2,4,8},
+/// `now` up to 1e9 µs, and the in-flight block's remainder.
+fn context_strategy() -> impl Strategy<Value = (f64, f64, f64)> {
+    (0u32..4, 0.0f64..1e9, 0.0f64..100_000.0)
+        .prop_map(|(k, now, base)| (f64::from(1u32 << k), now, base))
+}
+
 proptest! {
-    /// The bubble-pass implementation and the paper's transliterated
-    /// Algorithm 1 choose the same insertion position (and hence produce
-    /// identical queues) for arbitrary inputs.
+    /// The key comparison and the paper's transliterated Algorithm 1
+    /// choose the same insertion position and stop (and hence produce
+    /// identical queues) whatever α, `now` and the in-flight remainder:
+    /// all three cancel out of the swap test.
     #[test]
-    fn algorithm1_equals_bubble_pass(
-        q in queue_strategy(),
-        new in entry_strategy(),
-        base in 0.0f64..30_000.0,
+    fn algorithm1_equals_key_rule(
+        q in proptest::collection::vec(wide_entry_strategy(), 0..24),
+        new in wide_entry_strategy(),
+        ctx in context_strategy(),
     ) {
-        let now = 60_000.0;
-        let mut new = new;
-        new.id = 999;
-        let mut q1 = q.clone();
-        let mut q2 = q;
-        let d1 = greedy_preempt(&mut q1, new.clone(), base, now, ALPHA);
-        let d2 = algorithm1_preempt(&mut q2, new, base, now, ALPHA);
-        prop_assert_eq!(d1.position, d2.position);
-        prop_assert_eq!(d1.stop, d2.stop);
+        let (alpha, now, base) = ctx;
+        let mut q1: Vec<QueueEntry> = q
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| QueueEntry { id: i as u64, ..e })
+            .collect();
+        let mut q2 = q1.clone();
+        let new = QueueEntry { id: 999, ..new };
+        let d1 = greedy_preempt(&mut q1, new.clone());
+        let d2 = algorithm1_preempt(&mut q2, new, base, now, alpha);
+        prop_assert_eq!(d1, d2);
         prop_assert_eq!(q1, q2);
     }
 }

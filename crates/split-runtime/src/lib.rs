@@ -13,9 +13,11 @@
 //!   or condvar on the decision path;
 //! * **Token scheduler** ([`server`]): on every arrival, the combiner
 //!   runs the greedy preemption algorithm
-//!   ([`split_core::greedy_preempt`]) against the request queue — both
-//!   the scan and the client-visible publish→apply latency are timed so
-//!   the microsecond-scale claim of §3.4 is *measured*, not assumed;
+//!   ([`split_core::greedy_preempt`]) against the request queue — one
+//!   `left · exec` key comparison per neighbor passed, independent of
+//!   the clock, the in-flight block and α. Both the scan and the
+//!   client-visible publish→apply latency are timed so the
+//!   microsecond-scale claim of §3.4 is *measured*, not assumed;
 //! * **Token assigner / executor**: hands the device token to the queue
 //!   head and executes its next block (simulated by a clock-compressed
 //!   sleep standing in for the GPU);

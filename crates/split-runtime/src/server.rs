@@ -60,7 +60,10 @@ const EXECUTOR_PARK: Duration = Duration::from_micros(200);
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Latency-target multiplier α for response-ratio comparisons.
+    /// Latency-target multiplier α: a request whose response ratio
+    /// (e2e ÷ isolated time) exceeds it counts as a QoS violation in the
+    /// SLO monitor and the drift watch. Preemption order does not depend
+    /// on it (see [`split_core::greedy_preempt`]).
     pub alpha: f64,
     /// Elastic-splitting thresholds (`None` = always split).
     pub elastic: Option<split_core::ElasticConfig>,
@@ -96,7 +99,7 @@ struct CoreState {
     queue: Vec<QueueEntry>,
     blocks: HashMap<u64, VecDeque<f64>>,
     meta: HashMap<u64, Meta>,
-    running_end_us: Option<f64>,
+    block_in_flight: bool,
     closed: bool,
     next_id: u64,
     accepted: u64,
@@ -204,14 +207,13 @@ fn displaced_count(queue_len: usize, position: usize) -> usize {
 fn handle_op(
     shared: &Shared,
     deployment: &Deployment,
-    alpha: f64,
     st: &mut CoreState,
     op: CoreOp,
     publish: Instant,
 ) -> CoreResp {
     match op {
         CoreOp::Infer { model, reply } => {
-            handle_infer(shared, deployment, alpha, st, model, reply, publish)
+            handle_infer(shared, deployment, st, model, reply, publish)
         }
         CoreOp::NextBlock { finished } => handle_next_block(shared, st, finished),
     }
@@ -220,7 +222,6 @@ fn handle_op(
 fn handle_infer(
     shared: &Shared,
     deployment: &Deployment,
-    alpha: f64,
     st: &mut CoreState,
     model: String,
     reply: Sender<InferenceReply>,
@@ -317,7 +318,6 @@ fn handle_infer(
             reply,
         },
     );
-    let base_wait = st.running_end_us.map(|e| (e - now).max(0.0)).unwrap_or(0.0);
     let t0 = Instant::now();
     let decision = greedy_preempt(
         &mut st.queue,
@@ -328,9 +328,6 @@ fn handle_infer(
             left_us: left,
             arrival_us: now,
         },
-        base_wait,
-        now,
-        alpha,
     );
     let decision_ns = t0.elapsed().as_nanos() as u64;
     // Client-visible latency: from the request becoming visible in its
@@ -380,7 +377,7 @@ fn handle_next_block(
     finished: Option<FinishedBlock>,
 ) -> CoreResp {
     if let Some(fin) = finished {
-        st.running_end_us = None;
+        st.block_in_flight = false;
         let end = shared.clock.now_us();
         shared.record(Event::BlockEnd {
             req: fin.id,
@@ -466,7 +463,7 @@ fn handle_next_block(
         .expect("queued request has blocks");
     st.queue[0].left_us -= blk;
     let now = shared.clock.now_us();
-    st.running_end_us = Some(now + blk);
+    st.block_in_flight = true;
     let (block_idx, boundary_bytes) = {
         let meta = st.meta.get_mut(&id).expect("meta");
         meta.start_us.get_or_insert(now);
@@ -632,13 +629,12 @@ impl Server {
         });
         let core = {
             let shared = Arc::clone(&shared);
-            let alpha = cfg.alpha;
             Arc::new(CombiningCore::new(
                 CoreState {
                     elastic: cfg.elastic.clone().map(ElasticController::new),
                     ..CoreState::default()
                 },
-                move |st, op, publish| handle_op(&shared, &deployment, alpha, st, op, publish),
+                move |st, op, publish| handle_op(&shared, &deployment, st, op, publish),
             ))
         };
         let executor = {
@@ -677,7 +673,7 @@ impl Server {
         let decisions = self.shared.decisions.count();
         self.core.with_state(|st| QueueSnapshot {
             queued: st.queue.len(),
-            block_in_flight: st.running_end_us.is_some(),
+            block_in_flight: st.block_in_flight,
             head: st.queue.first().map(|e| (e.id, e.task)),
             decisions,
         })

@@ -57,18 +57,12 @@ fn main() {
         ),
         (
             "Uneven split (B = 57 + 5.5 ms blocks)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             table_with(vec![57_000.0, 5_500.0]),
         ),
         (
             "SPLIT even split (B = 3 x 21 ms blocks)",
-            Policy::Split(SplitCfg {
-                alpha: 4.0,
-                elastic: None,
-            }),
+            Policy::Split(SplitCfg { elastic: None }),
             table_with(vec![21_000.0, 21_000.0, 21_000.0]),
         ),
     ];
@@ -111,14 +105,7 @@ fn main() {
             arrival_us: 2_000.0,
         },
     ];
-    let r = simulate(
-        &Policy::Split(SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }),
-        &arrivals,
-        &t,
-    );
+    let r = simulate(&Policy::Split(SplitCfg { elastic: None }), &arrivals, &t);
     println!("full preemption (SPLIT): B's two blocks run back to back");
     print!("{}", r.trace.render_ascii(64));
     let b = r.completions.iter().find(|c| c.id == 1).unwrap();

@@ -24,10 +24,7 @@ fn runtime_and_engine_agree_on_qos() {
 
     // Deterministic engine.
     let engine = simulate(
-        &Policy::Split(SplitCfg {
-            alpha: 4.0,
-            elastic: None,
-        }),
+        &Policy::Split(SplitCfg { elastic: None }),
         &trace.arrivals,
         deployment.table(),
     );
