@@ -581,10 +581,10 @@ fn main() {
         }
     }
 
-    // --- Forensics: the raw seqlock write path — what a live server
-    // thread pays per causal event it pushes into the shared ring
-    // (simulate's flight view is a lazy projection and never touches
-    // it). ---
+    // --- Forensics: the raw seqlock write path of the lock-free ring,
+    // per causal record. No serving path writes the ring: simulate and
+    // the live server both project their flight view from their one
+    // lifecycle log. ---
     if selected("flight_ring") {
         let ring = split_forensics::FlightRing::with_capacity(8_192);
         let n = 8_192u64;

@@ -102,18 +102,15 @@ impl SimResult {
         split_obs::attribute(&self.recorder)
     }
 
-    /// Flight-recorder view of this run: bit-for-bit the bounded-ring
-    /// snapshot a quiescent [`split_forensics::FlightRing`] fed every
-    /// causal event would return. The projection is computed here, on
-    /// first access — the engine already retains the whole lifecycle in
-    /// [`SimResult::recorder`], so the always-on recorder adds no work
-    /// to the serving path itself (the perfbench on/off pair gates that
-    /// at ≤ 5% p50). Live server threads, where writes race, record
-    /// through the real ring instead.
+    /// Flight-recorder view of this run: a projection of
+    /// [`SimResult::recorder`], computed on first access, so the
+    /// always-on recorder adds no work to the serving path itself (the
+    /// perfbench on/off pair gates that at ≤ 5% p50). The live server
+    /// projects its own lifecycle log the same way.
     pub fn flight(&self) -> &split_forensics::FlightSnapshot {
         self.flight.get_or_init(|| {
-            split_forensics::FlightSnapshot::from_events(
-                self.recorder.events(),
+            split_forensics::FlightSnapshot::from_recorder(
+                &self.recorder,
                 split_forensics::flight_capacity(),
             )
         })
@@ -162,26 +159,6 @@ impl SimResult {
         }
         watch.finalize();
         watch.report()
-    }
-}
-
-/// Ordering rank for events sharing a timestamp, so a merged recording
-/// satisfies [`split_telemetry::Recorder::validate`]: a request arrives
-/// before it is enqueued, a block ends before the next one starts at the
-/// same boundary, and completion follows the final block end.
-fn event_rank(e: &split_telemetry::Event) -> u8 {
-    use split_telemetry::Event as E;
-    match e {
-        E::Arrival { .. } => 0,
-        E::Downgrade { .. } => 1,
-        E::PreemptDecision { .. } => 2,
-        E::Enqueue { .. } => 3,
-        E::QueueDepth { .. } => 4,
-        E::BlockEnd { .. } => 5,
-        E::BlockStart { .. } => 6,
-        E::Transfer { .. } => 7,
-        E::Completion { .. } => 8,
-        E::Utilization { .. } | E::Mark { .. } => 9,
     }
 }
 
@@ -267,11 +244,7 @@ pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResul
     }));
     events.extend(utilization);
     events.extend(policy_events);
-    events.sort_by(|a, b| {
-        a.t_us()
-            .total_cmp(&b.t_us())
-            .then(event_rank(a).cmp(&event_rank(b)))
-    });
+    events.sort_by(|a, b| a.t_us().total_cmp(&b.t_us()).then(a.rank().cmp(&b.rank())));
 
     // Pin the recording decision now (scoped `with_flight` overrides
     // end with the caller): off pins the disabled snapshot; on leaves

@@ -110,11 +110,14 @@ pub fn bundles_for_alerts(
     attributions.sort_by(|a, b| a.completion_us.total_cmp(&b.completion_us));
     let last_t = rec.events().map(Event::t_us).fold(0.0_f64, f64::max);
 
-    // Model names for requests that never completed (drop forensics).
+    // Model names for requests that never completed (drop forensics). A
+    // request rejected for an unknown model logs a `Drop`, no arrival.
     let arrival_models: BTreeMap<u64, (String, f64)> = rec
         .events()
         .filter_map(|e| match e {
-            Event::Arrival { req, model, t_us } => Some((*req, (model.clone(), *t_us))),
+            Event::Arrival { req, model, t_us } | Event::Drop { req, model, t_us } => {
+                Some((*req, (model.clone(), *t_us)))
+            }
             _ => None,
         })
         .collect();
@@ -383,7 +386,6 @@ fn build_verdict(outliers: &[OutlierReport], violating: u64, captured_violating:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::FlightRing;
 
     fn small_cfg() -> ForensicsCfg {
         ForensicsCfg {
@@ -470,11 +472,15 @@ mod tests {
     }
 
     #[test]
-    fn dropped_requests_enter_the_bundle_from_the_flight_ring() {
-        let rec = recording(30, |i| i >= 10);
-        let ring = FlightRing::with_capacity(64);
-        ring.record(150.0, 999, FlightKind::Drop, 0, 0);
-        let inv = investigate(&rec, &ring.snapshot(), None, &small_cfg());
+    fn dropped_requests_enter_the_bundle_with_their_model() {
+        let mut rec = recording(30, |i| i >= 10);
+        rec.record(Event::Drop {
+            req: 999,
+            model: "ghost".into(),
+            t_us: 150.0,
+        });
+        let flight = FlightSnapshot::from_recorder(&rec, 64);
+        let inv = investigate(&rec, &flight, None, &small_cfg());
         let b = &inv.bundles[0];
         let dropped: Vec<&OutlierReport> = b
             .outliers
@@ -483,6 +489,9 @@ mod tests {
             .collect();
         assert_eq!(dropped.len(), 1);
         assert_eq!(dropped[0].attribution.req, 999);
+        assert_eq!(dropped[0].attribution.model, "ghost");
+        assert!(dropped[0].spans.is_empty(), "a drop has no span tree");
+        assert!(inv.attributions.iter().all(|a| a.req != 999));
     }
 
     #[test]

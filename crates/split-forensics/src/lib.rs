@@ -4,10 +4,11 @@
 //! The observability layer (`split-obs`) can say *that* the p99 blew up;
 //! this crate answers *why this specific request* did, mechanically:
 //!
-//! * [`ring`] — the **flight recorder**: a bounded, lock-free ring of
-//!   compact per-request causal records (decisions, preemptions, block
-//!   boundaries, transfers, queue transitions) cheap enough to stay on
-//!   in production. Safe Rust throughout — the seqlock slots are plain
+//! * [`ring`] — the **flight recorder**: compact per-request causal
+//!   records (decisions, preemptions, block boundaries, transfers, queue
+//!   transitions, drops) projected from a lifecycle log, cheap enough to
+//!   stay on in production, plus the bounded, lock-free ring that can
+//!   hold them. Safe Rust throughout — the seqlock slots are plain
 //!   atomics.
 //! * [`sampling`] — **tail sampling**: full causal traces are retained
 //!   only for outliers (QoS-violating, dropped, or top-k slowest per

@@ -1,14 +1,19 @@
-//! The always-on flight recorder: a bounded, lock-free ring of compact
-//! per-request causal records.
+//! The flight recorder: compact per-request causal records, and the
+//! bounded, lock-free ring that can hold them.
 //!
-//! The full lifecycle [`split_telemetry::Recorder`] is rich (owned
-//! strings, nested enums) but writes behind a mutex; the flight ring is
-//! its cheap, crash-forensics counterpart. Each record is six `u64`
-//! words, a slot is claimed with one `fetch_add`, and publication uses a
-//! per-slot seqlock stamp — writers never block each other or a reader,
-//! and a reader detects (and skips) the rare slot it races with. The
-//! ring therefore stays on in production: `perfbench` gates its
-//! overhead on the full `simulate/SPLIT` path at ≤ 5% p50.
+//! A [`FlightSnapshot`] is what rides inside simulation results and
+//! incident bundles: six-word [`FlightRecord`]s in causal order, each a
+//! projection of one lifecycle [`split_telemetry::Event`]. Both the
+//! simulator and the live server build it with
+//! [`FlightSnapshot::from_recorder`] from the one lifecycle log they
+//! already keep, so no event is written twice.
+//!
+//! [`FlightRing`] is the concurrent form of the same record stream: a
+//! slot is claimed with one `fetch_add` and published through a
+//! per-slot seqlock stamp, so writers never block each other or a
+//! reader, and a reader detects (and skips) the rare slot it races
+//! with. No serving path writes it; `perfbench` measures it and
+//! the model checker certifies its protocol (below).
 //!
 //! Entirely safe Rust: the seqlock is built from `AtomicU64` fields
 //! only, so a torn *slot* is impossible by construction and a torn
@@ -28,7 +33,7 @@
 //! `analyze` job will tell you which bug you just reintroduced.
 
 use serde::{Deserialize, Serialize};
-use split_telemetry::Event;
+use split_telemetry::{Event, Recorder};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// `req` value for records that belong to no request (queue-depth
@@ -108,8 +113,8 @@ pub struct FlightRecord {
 
 impl FlightRecord {
     /// Flight projection of a lifecycle event, or `None` for events
-    /// with no causal projection (utilization samples and free-form
-    /// marks are metrics, not causal records).
+    /// with no causal projection (utilization samples are metrics, not
+    /// causal records).
     pub fn from_event(seq: u64, e: &Event) -> Option<FlightRecord> {
         use split_telemetry::Event as E;
         let (t_us, req, kind, a, b) = match e {
@@ -191,7 +196,8 @@ impl FlightRecord {
             E::QueueDepth { depth, t_us } => {
                 (*t_us, NO_REQ, FlightKind::QueueDepth, *depth as u64, 0)
             }
-            E::Utilization { .. } | E::Mark { .. } => return None,
+            E::Drop { req, t_us, .. } => (*t_us, *req, FlightKind::Drop, 0, 0),
+            E::Utilization { .. } => return None,
         };
         Some(FlightRecord {
             seq,
@@ -233,8 +239,8 @@ impl Slot {
     }
 }
 
-/// Bounded, lock-free flight recorder shared by every scheduler and
-/// server thread.
+/// Bounded, lock-free flight recorder any number of threads can write
+/// at once.
 #[derive(Debug)]
 pub struct FlightRing {
     slots: Box<[Slot]>,
@@ -310,15 +316,6 @@ impl FlightRing {
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
         slot.stamp.store(2 * seq + 2, Ordering::Release);
-    }
-
-    /// Append the flight projection of a lifecycle event, if it has one
-    /// (utilization samples and free-form marks are metrics, not causal
-    /// records, and are skipped).
-    pub fn record_event(&self, e: &Event) {
-        if let Some(r) = FlightRecord::from_event(0, e) {
-            self.record(r.t_us, r.req, r.kind, r.a, r.b);
-        }
     }
 
     /// Copy out every currently-published record of the current epoch,
@@ -409,37 +406,35 @@ impl FlightSnapshot {
         Self::default()
     }
 
-    /// Build a snapshot directly from an in-order event stream, with
-    /// the same bounded-ring semantics (capacity rounded up to a power
-    /// of two, oldest records dropped and counted once it overflows).
+    /// Project a lifecycle log onto flight records, with the bounded-ring
+    /// semantics of [`FlightRing`] (capacity rounded up to a power of
+    /// two, oldest records dropped and counted once it overflows).
     ///
-    /// The single-threaded simulation engine already holds its whole
-    /// lifecycle in memory, time-sorted — replaying it through the
-    /// concurrent seqlock ring would buy nothing and cost ~20 ns/event,
-    /// which at discrete-event-simulation speeds blows the ≤ 5%
-    /// recorder-overhead budget. Live server threads, where writes race,
-    /// go through [`FlightRing::record`] instead; this constructor is
-    /// bit-for-bit equivalent for a quiescent ring.
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a Event>, capacity: usize) -> Self {
+    /// Records are numbered from [`Recorder::dropped`], so two
+    /// projections of one ring-bounded log agree on `seq` even after the
+    /// log has evicted events between them, and
+    /// [`FlightSnapshot::merge`] of the two is exact. That holds as long
+    /// as every event the log evicts projects to one record, as every
+    /// event the live server logs does; an unbounded log (the
+    /// simulator's) never evicts, so its numbering starts at 0. For a
+    /// quiescent [`FlightRing`] fed the same events the result is
+    /// bit-for-bit its snapshot.
+    pub fn from_recorder(rec: &Recorder, capacity: usize) -> Self {
         let cap = capacity.max(2).next_power_of_two();
-        let events = events.into_iter();
-        let mut records: Vec<FlightRecord> = Vec::with_capacity(events.size_hint().0);
-        let mut seq = 0u64;
-        for e in events {
+        let mut records: Vec<FlightRecord> = Vec::with_capacity(rec.len());
+        let mut seq = rec.dropped();
+        for e in rec.events() {
             if let Some(r) = FlightRecord::from_event(seq, e) {
                 records.push(r);
                 seq += 1;
             }
         }
-        let appended = records.len() as u64;
         let overflow = records.len().saturating_sub(cap);
-        if overflow > 0 {
-            records.drain(..overflow);
-        }
+        records.drain(..overflow);
         FlightSnapshot {
             capacity: cap as u64,
-            appended,
-            dropped: overflow as u64,
+            appended: seq,
+            dropped: seq - records.len() as u64,
             records,
         }
     }
@@ -454,11 +449,11 @@ impl FlightSnapshot {
         self.records.iter().filter(|r| r.req == req).collect()
     }
 
-    /// Union of two snapshots of the same ring, deduplicated by
-    /// sequence number and re-sorted. The live server snapshots the
-    /// ring the moment an alert fires (preserving pre-incident history
-    /// the ring may later overwrite) and merges that with the shutdown
-    /// snapshot (which has the post-fire records).
+    /// Union of two snapshots of the same record stream, deduplicated by
+    /// sequence number and re-sorted. The live server projects its log
+    /// the moment an alert fires (preserving pre-incident history the
+    /// log may later evict) and merges that with the shutdown projection
+    /// (which has the post-fire records).
     pub fn merge(&self, other: &FlightSnapshot) -> FlightSnapshot {
         let mut records = self.records.clone();
         records.extend(other.records.iter().cloned());
@@ -524,33 +519,39 @@ mod tests {
 
     #[test]
     fn event_projection_maps_payloads() {
-        let ring = FlightRing::with_capacity(16);
-        ring.record_event(&Event::PreemptDecision {
-            req: 3,
-            position: 1,
-            comparisons: 4,
-            stop: "won".into(),
-            decision_ns: 750,
-            publish_ns: 750,
-            t_us: 9.0,
-        });
-        ring.record_event(&Event::Transfer {
-            req: 3,
-            bytes: 4096,
-            t_us: 10.0,
-            dur_us: 1.5,
-        });
-        ring.record_event(&Event::QueueDepth {
-            depth: 7,
-            t_us: 11.0,
-        });
-        // Non-causal events are skipped.
-        ring.record_event(&Event::Utilization {
-            busy: 0.5,
-            t_us: 12.0,
-        });
-        let snap = ring.snapshot();
-        assert_eq!(snap.records.len(), 3);
+        let rec = Recorder::from_events(vec![
+            Event::PreemptDecision {
+                req: 3,
+                position: 1,
+                comparisons: 4,
+                stop: "won".into(),
+                decision_ns: 750,
+                publish_ns: 750,
+                t_us: 9.0,
+            },
+            Event::Transfer {
+                req: 3,
+                bytes: 4096,
+                t_us: 10.0,
+                dur_us: 1.5,
+            },
+            Event::QueueDepth {
+                depth: 7,
+                t_us: 11.0,
+            },
+            // Non-causal events are skipped.
+            Event::Utilization {
+                busy: 0.5,
+                t_us: 12.0,
+            },
+            Event::Drop {
+                req: 4,
+                model: "ghost".into(),
+                t_us: 13.0,
+            },
+        ]);
+        let snap = FlightSnapshot::from_recorder(&rec, 16);
+        assert_eq!(snap.records.len(), 4);
         assert_eq!(snap.records[0].kind, FlightKind::Decision);
         assert_eq!(snap.records[0].a, 1);
         assert_eq!(snap.records[0].b, 750);
@@ -558,6 +559,9 @@ mod tests {
         assert_eq!(snap.records[1].b, 1_500);
         assert_eq!(snap.records[2].req, NO_REQ);
         assert_eq!(snap.records[2].a, 7);
+        assert_eq!(snap.records[3].kind, FlightKind::Drop);
+        assert_eq!(snap.records[3].req, 4);
+        assert_eq!(snap.records[3].t_us, 13.0);
     }
 
     #[test]
@@ -635,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn from_events_matches_ring_replay_bit_for_bit() {
+    fn from_recorder_matches_ring_replay_bit_for_bit() {
         let events = vec![
             Event::Arrival {
                 req: 1,
@@ -661,22 +665,54 @@ mod tests {
             Event::Completion { req: 1, t_us: 2.0 },
         ];
         let ring = FlightRing::with_capacity(16);
-        for e in &events {
-            ring.record_event(e);
+        for r in events.iter().filter_map(|e| FlightRecord::from_event(0, e)) {
+            ring.record(r.t_us, r.req, r.kind, r.a, r.b);
         }
+        let rec = Recorder::from_events(events);
         assert_eq!(
-            FlightSnapshot::from_events(&events, 16),
+            FlightSnapshot::from_recorder(&rec, 16),
             ring.snapshot(),
             "direct construction must be indistinguishable from a quiescent ring"
         );
         // Overflow keeps the newest records and counts the drop.
-        let small = FlightSnapshot::from_events(&events, 2);
+        let small = FlightSnapshot::from_recorder(&rec, 2);
         assert_eq!(small.capacity, 2);
         assert_eq!(small.appended, 4);
         assert_eq!(small.dropped, 2);
         assert_eq!(small.records.len(), 2);
         assert_eq!(small.records[0].kind, FlightKind::Transfer);
         assert_eq!(small.records[1].kind, FlightKind::Completion);
+    }
+
+    #[test]
+    fn projections_of_a_wrapped_log_merge_exactly() {
+        let mut log = Recorder::with_mode(split_telemetry::RecorderMode::Ring(8));
+        let drop = |i: u64| Event::Drop {
+            req: i,
+            model: "ghost".into(),
+            t_us: i as f64,
+        };
+        for i in 0..8 {
+            log.record(drop(i));
+        }
+        let early = FlightSnapshot::from_recorder(&log, 8);
+        for i in 8..14 {
+            log.record(drop(i));
+        }
+        let late = FlightSnapshot::from_recorder(&log, 8);
+        // The late projection numbers from the six evicted events, so
+        // each record keeps the seq the early projection gave it.
+        assert_eq!(late.records[0].seq, 6);
+        assert_eq!(late.records[0].req, 6);
+        assert_eq!(late.dropped, 6);
+        let merged = early.merge(&late);
+        assert!(merged
+            .records
+            .iter()
+            .all(|r| r.seq == r.req && r.kind == FlightKind::Drop));
+        assert_eq!(merged.records.len(), 14);
+        assert_eq!(merged.appended, 14);
+        assert_eq!(merged.dropped, 0);
     }
 
     #[test]

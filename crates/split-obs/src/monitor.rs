@@ -147,7 +147,7 @@ impl Monitor {
             Event::Downgrade { .. } => {
                 self.registry.counter("elastic.downgrades").inc();
             }
-            Event::Enqueue { .. } | Event::Mark { .. } => {}
+            Event::Enqueue { .. } | Event::Drop { .. } => {}
         }
         self.drift.feed(e);
         for ev in self.drift.drain_events() {

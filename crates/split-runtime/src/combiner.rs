@@ -34,6 +34,19 @@
 //! the holder's re-check scan. Publishers additionally park with a
 //! timeout, so even a missed wakeup costs microseconds, never a hang.
 //!
+//! **Observers wait behind one operation.** An observer blocked in
+//! [`CombiningCore::with_state`] announces itself first. While one
+//! waits, a combiner ends its pass after the operation in hand,
+//! publishers park instead of `try_lock`ing, and releasing holders skip
+//! their re-check. Once the observer holds the lock it drains every
+//! published slot (all SeqCst, so a slot published before a publisher
+//! saw the announcement is seen by that drain). Its own passes serve
+//! only operations published before each pass began, so a client that
+//! republishes as soon as it is served cannot keep one going, and after
+//! releasing it re-checks once rather than looping: a slot published
+//! during that last pass is served by its own publisher after the park
+//! backstop.
+//!
 //! The protocol's exact orderings are model-checked by the
 //! `runtime.combiner.handoff` and `runtime.combiner.slot_roundtrip`
 //! machines in `split-analyze` (codes SA207/SA208), with negative
@@ -110,6 +123,8 @@ pub struct CombiningCore<Op, Resp, S> {
     /// Rotating start index for slot claims, spreading claimants so they
     /// don't all CAS slot 0.
     hint: AtomicUsize,
+    /// Observers blocked in [`CombiningCore::with_state`] on the lock.
+    waiting: AtomicUsize,
 }
 
 impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
@@ -123,6 +138,7 @@ impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
             state: Mutex::new(state),
             handler: Box::new(handler),
             hint: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
         }
     }
 
@@ -156,13 +172,18 @@ impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
                 slot.state.store(FREE, Ordering::Release);
                 return resp;
             }
-            if let Some(mut st) = self.state.try_lock() {
-                self.drain(&mut st);
-                drop(st);
-                self.recheck();
-                // Own slot was published, so the drain consumed it;
-                // loop back to collect the response without parking.
-                continue;
+            // A waiting observer drains this slot once it holds the
+            // lock; barging ahead of it would starve it.
+            if self.waiting.load(Ordering::SeqCst) == 0 {
+                if let Some(mut st) = self.state.try_lock() {
+                    self.drain(&mut st, false);
+                    drop(st);
+                    self.recheck();
+                    // Own slot was published, so the drain consumed it
+                    // (unless an observer cut the pass short, and will);
+                    // loop back to collect the response.
+                    continue;
+                }
             }
             thread::park_timeout(PARK_BACKSTOP);
         }
@@ -175,12 +196,14 @@ impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
     /// state and leaves none behind), and the post-release re-check
     /// keeps the handoff rule intact.
     pub fn with_state<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
         let mut st = self.state.lock();
-        self.drain(&mut st);
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        self.drain(&mut st, true);
         let r = f(&mut st);
-        self.drain(&mut st);
+        self.drain(&mut st, true);
         drop(st);
-        self.recheck();
+        self.recheck_pass(true);
         r
     }
 
@@ -204,18 +227,32 @@ impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
         }
     }
 
-    /// Combiner pass: apply every published operation to the state and
-    /// hand each response back through its slot. Caller holds the lock.
-    fn drain(&self, st: &mut S) {
+    /// Combiner pass: apply published operations to the state and hand
+    /// each response back through its slot. Caller holds the lock. A
+    /// submitter's pass ends early once an observer waits, leaving the
+    /// rest to it; an observer's pass serves only operations published
+    /// before the pass began.
+    fn drain(&self, st: &mut S, observer: bool) {
+        let began = observer.then(Instant::now);
         for slot in self.slots.iter() {
             if slot.state.load(Ordering::SeqCst) != PUBLISHED {
                 continue;
             }
+            // Relaxed: a stale zero only serves one more operation
+            // before the observer's announcement is seen.
+            if !observer && self.waiting.load(Ordering::Relaxed) > 0 {
+                return;
+            }
             let (op, publish, waiter) = {
                 let mut p = slot.payload.lock();
+                let publish = p.publish.expect("published slot carries a stamp");
+                if began.is_some_and(|b| publish >= b) {
+                    continue;
+                }
+                p.publish = None;
                 (
                     p.op.take().expect("published slot carries an op"),
-                    p.publish.take().expect("published slot carries a stamp"),
+                    publish,
                     p.waiter.take(),
                 )
             };
@@ -232,25 +269,29 @@ impl<Op: Send, Resp: Send, S: Send> CombiningCore<Op, Resp, S> {
 
     /// Post-release half of the handoff rule: if anything was published
     /// while we held the lock, either serve it ourselves or leave it to
-    /// the holder whose `try_lock` beat ours (who follows the same
-    /// rule).
+    /// the holder whose `try_lock` beat ours, or to a waiting observer
+    /// (who both drain it). Loops, since slots may publish during our
+    /// own re-check pass.
     fn recheck(&self) {
-        loop {
-            let pending = self
-                .slots
-                .iter()
-                .any(|s| s.state.load(Ordering::SeqCst) == PUBLISHED);
-            if !pending {
-                return;
+        while self.recheck_pass(false) {}
+    }
+
+    /// One re-check: serve one pass if anything is published, the lock
+    /// is free and no observer waits for it. Returns whether it served.
+    fn recheck_pass(&self, observer: bool) -> bool {
+        let pending = self
+            .slots
+            .iter()
+            .any(|s| s.state.load(Ordering::SeqCst) == PUBLISHED);
+        if !pending || self.waiting.load(Ordering::SeqCst) > 0 {
+            return false;
+        }
+        match self.state.try_lock() {
+            Some(mut st) => {
+                self.drain(&mut st, observer);
+                true
             }
-            match self.state.try_lock() {
-                Some(mut st) => {
-                    self.drain(&mut st);
-                    // Loop: the drain itself ran while new slots may
-                    // have published.
-                }
-                None => return,
-            }
+            None => false,
         }
     }
 }

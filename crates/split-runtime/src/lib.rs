@@ -29,21 +29,17 @@
 //! in milliseconds while thread interleavings stay real.
 
 pub mod clock;
-pub mod codec;
 pub mod combiner;
 pub mod deployment;
 pub mod driver;
 pub mod messages;
 pub mod server;
 pub mod stats;
-pub mod wire;
 
 pub use clock::SimClock;
-pub use codec::{decode, encode, CodecError, FrameDecoder, WireRequest};
 pub use combiner::{CombiningCore, MutexCore};
 pub use deployment::Deployment;
 pub use driver::{drive, DriveReport};
 pub use messages::{InferenceReply, RequestStatus};
 pub use server::{Client, QueueSnapshot, Server, ServerConfig, ShutdownReport};
 pub use stats::DecisionStats;
-pub use wire::{WireClient, WireConn, WireServer};

@@ -22,6 +22,15 @@
 //! next. Replies travel on per-request channels as soon as the last block
 //! completes — the asynchronous read/write split of §4.2.
 //!
+//! The core also owns everything the server observes about itself: one
+//! ring-bounded lifecycle [`Recorder`] that receives each event once, the
+//! burn-rate [`SloMonitor`], the [`DriftWatch`], and the flight
+//! projections frozen when an alert fires. None of them has a lock of
+//! its own; observers ([`Server::telemetry`], [`Server::alerts`]) read
+//! them through [`CombiningCore::with_state`]. The flight snapshot in an
+//! incident bundle is a projection of the log
+//! ([`FlightSnapshot::from_recorder`]), as the simulator builds its own.
+//!
 //! Shutdown is two-phase and cannot lose accepted work: the ingest gate
 //! closes first (new `infer` calls observe a disconnected reply channel),
 //! then the core is marked closed under the combiner discipline, which
@@ -36,11 +45,10 @@ use crate::deployment::Deployment;
 use crate::messages::{InferenceReply, RequestStatus};
 use crate::stats::DecisionStats;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use split_core::{greedy_preempt, ElasticController, QueueEntry};
-use split_forensics::{FlightKind, FlightRing, FlightSnapshot, ForensicsCfg, IncidentBundle};
+use split_forensics::{FlightSnapshot, ForensicsCfg, IncidentBundle};
 use split_obs::{AlertLog, SloCfg, SloMonitor};
-use split_telemetry::{Event, Recorder, RecorderMode, SharedRecorder};
+use split_telemetry::{Event, Recorder, RecorderMode};
 use split_watch::{DriftReport, DriftWatch, WatchCfg};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,7 +102,6 @@ struct Meta {
 
 /// Everything the decision core owns. Only the current combiner touches
 /// it; there is no finer-grained locking inside.
-#[derive(Default)]
 struct CoreState {
     queue: Vec<QueueEntry>,
     blocks: HashMap<u64, VecDeque<f64>>,
@@ -110,6 +117,60 @@ struct CoreState {
     /// Set when the executor was told `Idle`; the next accepted arrival
     /// clears it and unparks the executor.
     executor_idle: bool,
+    /// The lifecycle log: every event, once, in scheduling order.
+    recorder: Recorder,
+    /// Burn-rate SLO monitor, fed on every completion.
+    slo: SloMonitor,
+    /// Streaming drift watch, fed arrivals, judged completions and
+    /// downgrades. Regime events it emits are forwarded into the SLO
+    /// alert log as informational alerts.
+    drift: DriftWatch,
+    /// Flight capacity, or `None` when flight recording was off at
+    /// start.
+    flight_capacity: Option<usize>,
+    /// Flight projections taken the instant each alert fired, so the
+    /// pre-incident history survives the log evicting it before
+    /// shutdown.
+    incident_flights: Vec<FlightSnapshot>,
+}
+
+impl CoreState {
+    fn new(cfg: &ServerConfig) -> Self {
+        Self {
+            queue: Vec::new(),
+            blocks: HashMap::new(),
+            meta: HashMap::new(),
+            block_in_flight: false,
+            closed: false,
+            next_id: 0,
+            accepted: 0,
+            served: 0,
+            elastic: cfg.elastic.clone().map(ElasticController::new),
+            executor: None,
+            executor_idle: false,
+            recorder: Recorder::with_mode(RecorderMode::Ring(RECORDER_RING)),
+            slo: SloMonitor::new(SloCfg {
+                alpha: cfg.alpha,
+                ..SloCfg::default()
+            }),
+            drift: DriftWatch::new(WatchCfg {
+                alpha: cfg.alpha,
+                ..WatchCfg::default()
+            }),
+            flight_capacity: split_forensics::flight_enabled()
+                .then(split_forensics::flight_capacity),
+            incident_flights: Vec::new(),
+        }
+    }
+
+    /// The flight snapshot of the log right now (disabled when flight
+    /// recording is off).
+    fn flight(&self) -> FlightSnapshot {
+        self.flight_capacity
+            .map_or_else(FlightSnapshot::disabled, |cap| {
+                FlightSnapshot::from_recorder(&self.recorder, cap)
+            })
+    }
 }
 
 /// Operations clients and the executor publish into combining slots.
@@ -157,22 +218,6 @@ type Core = CombiningCore<CoreOp, CoreResp, CoreState>;
 struct Shared {
     clock: SimClock,
     decisions: DecisionStats,
-    recorder: SharedRecorder,
-    /// Burn-rate SLO monitor, fed on every completion; observable live
-    /// via [`Server::alerts`] and in the shutdown report.
-    slo: Mutex<SloMonitor>,
-    /// Streaming drift watch, fed by the combiner (arrivals, judged
-    /// completions, downgrades). Regime events it emits are forwarded
-    /// into the SLO alert log as informational alerts.
-    drift: Mutex<DriftWatch>,
-    /// Always-on flight recorder: every causal event also lands here as
-    /// a compact lock-free record (`None` when disabled via
-    /// `SPLIT_FLIGHT=0`).
-    flight: Option<FlightRing>,
-    /// Ring snapshots taken the instant each alert fired, so the
-    /// pre-incident history survives even if the ring wraps before
-    /// shutdown.
-    incident_rings: Mutex<Vec<FlightSnapshot>>,
     /// Phase 1 of shutdown: once set, `infer` returns a disconnected
     /// reply channel without publishing.
     ingest_closed: AtomicBool,
@@ -180,17 +225,6 @@ struct Shared {
     /// decision, simulating a slow combiner pass (see
     /// [`Server::set_combiner_stall_ns`]).
     combiner_stall_ns: AtomicU64,
-}
-
-impl Shared {
-    /// Record a lifecycle event in both the full recorder and (its
-    /// compact projection) the flight ring.
-    fn record(&self, e: Event) {
-        if let Some(ring) = &self.flight {
-            ring.record_event(&e);
-        }
-        self.recorder.record(e);
-    }
 }
 
 /// Number of queued requests pushed back by an insertion at `position`
@@ -241,15 +275,11 @@ fn handle_infer(
     }
     let now = shared.clock.now_us();
     if !deployment.table().contains(&model) {
-        shared.record(Event::Mark {
-            label: format!("dropped:{model}"),
+        st.recorder.record(Event::Drop {
+            req: st.next_id,
+            model: model.clone(),
             t_us: now,
         });
-        // Mark events don't project into the flight ring, so drops get
-        // an explicit compact record of their own.
-        if let Some(ring) = &shared.flight {
-            ring.record(now, st.next_id, FlightKind::Drop, 0, 0);
-        }
         let _ = reply.send(InferenceReply {
             id: st.next_id,
             model,
@@ -278,23 +308,20 @@ fn handle_infer(
     st.next_id += 1;
     st.accepted += 1;
 
-    {
-        let mut drift = shared.drift.lock();
-        drift.observe_arrival(now, &m.name);
-        if !use_split && m.blocks_us.len() > 1 {
-            drift.observe_drop(now, &m.name);
-        }
+    st.drift.observe_arrival(now, &m.name);
+    if !use_split && m.blocks_us.len() > 1 {
+        st.drift.observe_drop(now, &m.name);
     }
 
-    // Recorded under the core lock so event order matches scheduling
-    // order across every combining thread.
-    shared.record(Event::Arrival {
+    // Recorded by the combiner, so event order matches scheduling order
+    // across every publishing thread.
+    st.recorder.record(Event::Arrival {
         req: id,
         model: m.name.to_string(),
         t_us: now,
     });
     if !use_split && m.blocks_us.len() > 1 {
-        shared.record(Event::Downgrade {
+        st.recorder.record(Event::Downgrade {
             req: id,
             from_blocks: m.blocks_us.len(),
             to_blocks: 1,
@@ -337,7 +364,7 @@ fn handle_infer(
     let publish_ns = publish.elapsed().as_nanos() as u64;
     shared.decisions.record(publish_ns);
     shared.decisions.record_compute(decision_ns);
-    shared.record(Event::PreemptDecision {
+    st.recorder.record(Event::PreemptDecision {
         req: id,
         position: decision.position,
         comparisons: decision.comparisons,
@@ -352,13 +379,13 @@ fn handle_infer(
         decision.position,
         st.queue.len()
     );
-    shared.record(Event::Enqueue {
+    st.recorder.record(Event::Enqueue {
         req: id,
         position: decision.position,
         displaced: displaced_count(st.queue.len(), decision.position),
         t_us: now,
     });
-    shared.record(Event::QueueDepth {
+    st.recorder.record(Event::QueueDepth {
         depth: st.queue.len(),
         t_us: now,
     });
@@ -379,7 +406,7 @@ fn handle_next_block(
     if let Some(fin) = finished {
         st.block_in_flight = false;
         let end = shared.clock.now_us();
-        shared.record(Event::BlockEnd {
+        st.recorder.record(Event::BlockEnd {
             req: fin.id,
             block: fin.block,
             stream: 0,
@@ -399,38 +426,30 @@ fn handle_next_block(
             st.queue.remove(pos);
             st.blocks.remove(&fin.id);
             let meta = st.meta.remove(&fin.id).expect("meta present");
-            shared.record(Event::Completion {
+            st.recorder.record(Event::Completion {
                 req: fin.id,
                 t_us: end,
             });
-            shared.record(Event::QueueDepth {
+            st.recorder.record(Event::QueueDepth {
                 depth: st.queue.len(),
                 t_us: end,
             });
-            let newly_fired = {
-                let mut slo = shared.slo.lock();
-                let before = slo.log().fired();
-                let e2e = end - meta.arrival_us;
-                slo.observe_outcome(end, e2e, meta.exec_us);
-                let burn_fired = slo.log().fired() > before;
-                // Feed the drift watch with the already-judged verdict
-                // (same α rule the SLO monitor just applied) and forward
-                // any regime events into the alert log. Lock order is
-                // always slo → drift.
-                let violated = meta.exec_us > 0.0 && e2e > slo.cfg().alpha * meta.exec_us;
-                let mut drift = shared.drift.lock();
-                drift.observe_completion(end, &meta.model, e2e, violated);
-                for ev in drift.drain_events() {
-                    slo.observe_regime(&ev);
-                }
-                burn_fired
-            };
-            if newly_fired {
+            let fired_before = st.slo.log().fired();
+            let e2e = end - meta.arrival_us;
+            st.slo.observe_outcome(end, e2e, meta.exec_us);
+            if st.slo.log().fired() > fired_before && st.flight_capacity.is_some() {
                 // Freeze the pre-incident history the instant the alert
-                // fires, before the ring can wrap over it.
-                if let Some(ring) = &shared.flight {
-                    shared.incident_rings.lock().push(ring.snapshot());
-                }
+                // fires, before the log can evict it.
+                let flight = st.flight();
+                st.incident_flights.push(flight);
+            }
+            // Feed the drift watch with the already-judged verdict (same
+            // α rule the SLO monitor just applied) and forward any
+            // regime events into the alert log.
+            let violated = meta.exec_us > 0.0 && e2e > st.slo.cfg().alpha * meta.exec_us;
+            st.drift.observe_completion(end, &meta.model, e2e, violated);
+            for ev in st.drift.drain_events() {
+                st.slo.observe_regime(&ev);
             }
             let _ = meta.reply.send(InferenceReply {
                 id: fin.id,
@@ -474,7 +493,7 @@ fn handle_next_block(
             .and_then(|b| meta.transfer_bytes.get(b).copied());
         (idx, bytes)
     };
-    shared.record(Event::BlockStart {
+    st.recorder.record(Event::BlockStart {
         req: id,
         block: block_idx,
         stream: 0,
@@ -484,7 +503,7 @@ fn handle_next_block(
     // already folded into the block's profiled duration (§4); the event
     // attributes traffic, it does not add latency.
     if let Some(bytes) = boundary_bytes {
-        shared.record(Event::Transfer {
+        st.recorder.record(Event::Transfer {
             req: id,
             bytes,
             t_us: now,
@@ -596,10 +615,10 @@ pub struct ShutdownReport {
     pub recorder: Recorder,
     /// Burn-rate alert history (summarize with [`AlertLog::summary`]).
     pub alerts: AlertLog,
-    /// One self-contained forensic bundle per fired alert: flight-ring
+    /// One self-contained forensic bundle per fired alert: flight
     /// history, queue depths, the violating requests' span trees, and
-    /// an aggregated root-cause verdict. Empty when no alert fired (or
-    /// the flight recorder was disabled).
+    /// an aggregated root-cause verdict. Empty when no alert fired; with
+    /// flight recording off, each bundle's flight is disabled.
     pub incidents: Vec<IncidentBundle>,
     /// Finalized drift-watch report: windowed latency sketches and any
     /// regime-shift events detected while serving.
@@ -612,28 +631,13 @@ impl Server {
         let shared = Arc::new(Shared {
             clock: SimClock::new(cfg.compression),
             decisions: DecisionStats::new(),
-            recorder: SharedRecorder::with_mode(RecorderMode::Ring(RECORDER_RING)),
-            slo: Mutex::new(SloMonitor::new(SloCfg {
-                alpha: cfg.alpha,
-                ..SloCfg::default()
-            })),
-            drift: Mutex::new(DriftWatch::new(WatchCfg {
-                alpha: cfg.alpha,
-                ..WatchCfg::default()
-            })),
-            flight: split_forensics::flight_enabled()
-                .then(|| FlightRing::with_capacity(split_forensics::flight_capacity())),
-            incident_rings: Mutex::new(Vec::new()),
             ingest_closed: AtomicBool::new(false),
             combiner_stall_ns: AtomicU64::new(0),
         });
         let core = {
             let shared = Arc::clone(&shared);
             Arc::new(CombiningCore::new(
-                CoreState {
-                    elastic: cfg.elastic.clone().map(ElasticController::new),
-                    ..CoreState::default()
-                },
+                CoreState::new(&cfg),
                 move |st, op, publish| handle_op(&shared, &deployment, st, op, publish),
             ))
         };
@@ -691,17 +695,17 @@ impl Server {
     }
 
     /// A snapshot of the server's lifecycle recording so far (arrivals,
-    /// preemption decisions, block executions, completions, queue
-    /// depth). Ring-bounded; exportable with
-    /// [`split_telemetry::perfetto::write_chrome_trace`].
+    /// drops, preemption decisions, block executions, completions, queue
+    /// depth), read through the decision core. Ring-bounded; exportable
+    /// with [`split_telemetry::perfetto::write_chrome_trace`].
     pub fn telemetry(&self) -> Recorder {
-        self.shared.recorder.snapshot()
+        self.core.with_state(|st| st.recorder.clone())
     }
 
-    /// A snapshot of the burn-rate alert history so far (takes the SLO
-    /// lock briefly).
+    /// A snapshot of the burn-rate alert history so far, read through
+    /// the decision core.
     pub fn alerts(&self) -> AlertLog {
-        self.shared.slo.lock().log().clone()
+        self.core.with_state(|st| st.slo.log().clone())
     }
 
     /// Test hook: make every combined `Infer` spin for `ns` nanoseconds
@@ -740,25 +744,21 @@ impl Server {
             "served {} must not exceed accepted {accepted}",
             served.unwrap_or(0)
         );
-        let recorder = self.shared.recorder.snapshot();
-        let (alerts, slo_cfg) = {
-            let slo = self.shared.slo.lock();
-            (slo.log().clone(), slo.cfg().clone())
-        };
-        // Merge the fire-time ring snapshots (pre-incident history that
-        // may since have been overwritten) with the final ring state.
-        let flight = {
-            let mut merged = self
-                .shared
-                .flight
-                .as_ref()
-                .map(|r| r.snapshot())
-                .unwrap_or_else(FlightSnapshot::disabled);
-            for snap in self.shared.incident_rings.lock().drain(..) {
-                merged = merged.merge(&snap);
-            }
-            merged
-        };
+        let (recorder, alerts, slo_cfg, flight, drift) = self.core.with_state(|st| {
+            // Merge the fire-time projections (pre-incident history the
+            // log may since have evicted) with the final one.
+            let flight = std::mem::take(&mut st.incident_flights)
+                .iter()
+                .fold(st.flight(), |merged, snap| merged.merge(snap));
+            st.drift.finalize();
+            (
+                std::mem::take(&mut st.recorder),
+                st.slo.log().clone(),
+                st.slo.cfg().clone(),
+                flight,
+                st.drift.report(),
+            )
+        });
         let incidents = split_forensics::bundles_for_alerts(
             &recorder,
             &flight,
@@ -769,11 +769,6 @@ impl Server {
             },
             &alerts,
         );
-        let drift = {
-            let mut watch = self.shared.drift.lock();
-            watch.finalize();
-            watch.report()
-        };
         ShutdownReport {
             served: served.unwrap_or(0),
             decisions: self.shared.decisions.count(),
@@ -1255,6 +1250,76 @@ mod tests {
     }
 
     #[test]
+    fn dropped_request_keeps_its_model_in_the_incident_bundle() {
+        let server = Server::start(deployment(), config());
+        let client = server.client();
+        let mut rxs: Vec<_> = (0..15).map(|_| client.infer("short")).collect();
+        let ghost = client
+            .infer("ghost")
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(ghost.status, RequestStatus::Dropped);
+        rxs.extend((0..15).map(|_| client.infer("short")));
+        for rx in rxs {
+            rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        let report = server.shutdown();
+        assert!(report.alerts.fired() >= 1, "precondition: alert fires");
+        let errors = report.recorder.validate();
+        assert!(errors.is_empty(), "lifecycle violations: {errors:?}");
+        let dropped: Vec<_> = report
+            .incidents
+            .iter()
+            .flat_map(|b| &b.outliers)
+            .filter(|o| o.reason == split_forensics::SampleReason::Dropped)
+            .collect();
+        assert!(!dropped.is_empty(), "the drop must reach a bundle");
+        for o in dropped {
+            assert_eq!(o.attribution.req, ghost.id);
+            assert_eq!(o.attribution.model, "ghost");
+            assert!(o.spans.is_empty(), "a drop has no span tree");
+        }
+    }
+
+    #[test]
+    fn pre_incident_flight_history_survives_a_log_wrap() {
+        let server = Server::start(deployment(), config());
+        let client = server.client();
+        let rxs: Vec<_> = (0..30).map(|_| client.infer("short")).collect();
+        for rx in rxs {
+            rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        let fired_at = server
+            .alerts()
+            .alerts
+            .first()
+            .expect("overload fires a burn-rate alert")
+            .fired_at_us;
+        // A short request logs 8 events, so 9,000 more push over 65,536
+        // events through the log after the alert fired.
+        let rxs: Vec<_> = (0..9_000).map(|_| client.infer("short")).collect();
+        for rx in rxs {
+            rx.recv_timeout(Duration::from_secs(60)).unwrap();
+        }
+        let report = server.shutdown();
+        let evicted = report.recorder.dropped();
+        assert!(
+            report.recorder.events().all(|e| e.t_us() > fired_at),
+            "the log must have evicted everything up to the alert"
+        );
+        let pre_incident = report.incidents[0]
+            .flight
+            .records
+            .iter()
+            .filter(|r| r.seq < evicted && r.t_us <= fired_at)
+            .count();
+        assert!(
+            pre_incident > 0,
+            "the bundle lost the history from before the alert fired"
+        );
+    }
+
+    #[test]
     fn shutdown_report_carries_conserving_drift_watch() {
         let server = Server::start(deployment(), config());
         let client = server.client();
@@ -1284,12 +1349,16 @@ mod tests {
 
     #[test]
     fn flight_disabled_still_shuts_down_clean() {
-        split_forensics::with_flight(false, || {
-            let server = Server::start(deployment(), config());
-            let rx = server.client().infer("short");
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-            let report = server.shutdown();
-            assert_eq!(report.served, 1);
-        });
+        // Pinned at start: the override need not outlive `Server::start`.
+        let server = split_forensics::with_flight(false, || Server::start(deployment(), config()));
+        let client = server.client();
+        let rxs: Vec<_> = (0..30).map(|_| client.infer("short")).collect();
+        for rx in rxs {
+            rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        let report = server.shutdown();
+        assert_eq!(report.served, 30);
+        assert!(report.alerts.fired() >= 1, "precondition: alert fires");
+        assert!(report.incidents.iter().all(|b| !b.flight.enabled()));
     }
 }

@@ -4,6 +4,7 @@
 use split_core::ElasticConfig;
 use split_core::SplitPlan;
 use split_runtime::{Deployment, RequestStatus, Server, ServerConfig};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn deployment() -> Deployment {
@@ -90,16 +91,23 @@ fn elastic_observer_progresses_while_combiner_busy() {
     const FLOOD: usize = 40;
     server.set_combiner_stall_ns(STALL_NS);
     let client = server.client();
-    let flood = std::thread::spawn(move || {
-        let rxs: Vec<_> = (0..FLOOD).map(|_| client.infer("short")).collect();
-        rxs.into_iter()
-            .filter(|rx| rx.recv_timeout(Duration::from_secs(30)).is_ok())
-            .count()
-    });
+    let start = Arc::new(Barrier::new(2));
+    let flood = {
+        let start = Arc::clone(&start);
+        std::thread::spawn(move || {
+            start.wait();
+            let rxs: Vec<_> = (0..FLOOD).map(|_| client.infer("short")).collect();
+            rxs.into_iter()
+                .filter(|rx| rx.recv_timeout(Duration::from_secs(30)).is_ok())
+                .count()
+        })
+    };
 
-    // Observe concurrently with the flood. Each read must come back in
-    // bounded time (a pass or two), so well before the flood's ~120 ms
-    // of stalled passes drain, many reads have completed.
+    // Observe concurrently with the flood, from the moment it starts
+    // publishing. Each read must come back in bounded time (a pass or
+    // two), so well before the flood's ~120 ms of stalled passes drain,
+    // many reads have completed.
+    start.wait();
     let t0 = std::time::Instant::now();
     let mut reads = 0usize;
     let mut saw_window = false;
@@ -115,6 +123,12 @@ fn elastic_observer_progresses_while_combiner_busy() {
     assert!(
         saw_window,
         "observer never saw the controller's windowed arrivals"
+    );
+    // 40 serialized 3 ms stalls cannot drain in 60 ms, so every read
+    // above overlapped a busy combiner.
+    assert!(
+        !flood.is_finished(),
+        "the flood finished inside the observation window"
     );
 
     assert_eq!(flood.join().unwrap(), FLOOD, "flood must fully complete");

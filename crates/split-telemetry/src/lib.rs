@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod perfetto;
 pub mod sketch;
 
-pub use lifecycle::{Event, Recorder, RecorderMode, SharedRecorder};
+pub use lifecycle::{Event, Recorder, RecorderMode};
 pub use metrics::{
     registry_from_events, Counter, Gauge, Histogram, MetricEntry, MetricsSnapshot, Registry,
 };

@@ -2,8 +2,9 @@
 //!
 //! Every layer of the serving pipeline emits the same [`Event`] model:
 //! the discrete-event simulator replays a whole schedule into a
-//! [`Recorder`] after the fact, while the threaded runtime records live
-//! through a [`SharedRecorder`]. Timestamps are microseconds on the
+//! [`Recorder`] after the fact, while the threaded runtime's decision
+//! core owns a ring-bounded one and records each event as it happens.
+//! Timestamps are microseconds on the
 //! recording layer's own clock (simulated time for `gpu-sim`/`sched`,
 //! wall time for `split-runtime`); decision costs are nanoseconds so the
 //! §3.4 "microsecond-scale preemption" claim can be checked directly.
@@ -15,7 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 /// One observation in a request's lifecycle, or a device-level sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +85,8 @@ pub enum Event {
         /// End time (µs).
         t_us: f64,
     },
-    /// A payload moved across a boundary (e.g. runtime codec framing).
+    /// A payload moved across a boundary (e.g. an activation hand-off
+    /// between two blocks).
     Transfer {
         /// Request id.
         req: u64,
@@ -128,11 +129,15 @@ pub enum Event {
         /// Sample time (µs).
         t_us: f64,
     },
-    /// Free-form instant marker.
-    Mark {
-        /// Label shown in the trace viewer.
-        label: String,
-        /// Marker time (µs).
+    /// A request was rejected before it was queued (unknown model). It
+    /// has no enqueue, blocks or completion, so it yields no span tree
+    /// and no attribution.
+    Drop {
+        /// Request id.
+        req: u64,
+        /// Model name the client asked for.
+        model: String,
+        /// Time of the rejection (µs).
         t_us: f64,
     },
 }
@@ -151,7 +156,7 @@ impl Event {
             | Event::Downgrade { t_us, .. }
             | Event::QueueDepth { t_us, .. }
             | Event::Utilization { t_us, .. }
-            | Event::Mark { t_us, .. } => *t_us,
+            | Event::Drop { t_us, .. } => *t_us,
         }
     }
 
@@ -165,8 +170,29 @@ impl Event {
             | Event::BlockEnd { req, .. }
             | Event::Transfer { req, .. }
             | Event::Completion { req, .. }
-            | Event::Downgrade { req, .. } => Some(*req),
-            Event::QueueDepth { .. } | Event::Utilization { .. } | Event::Mark { .. } => None,
+            | Event::Downgrade { req, .. }
+            | Event::Drop { req, .. } => Some(*req),
+            Event::QueueDepth { .. } | Event::Utilization { .. } => None,
+        }
+    }
+
+    /// Ordering rank among events sharing a timestamp, so a time-sorted
+    /// merge satisfies [`Recorder::validate`]: a request arrives before
+    /// it is enqueued, a block ends before the next one starts at the
+    /// same boundary, and completion follows the final block end.
+    #[inline]
+    pub fn rank(&self) -> u8 {
+        match self {
+            Event::Arrival { .. } | Event::Drop { .. } => 0,
+            Event::Downgrade { .. } => 1,
+            Event::PreemptDecision { .. } => 2,
+            Event::Enqueue { .. } => 3,
+            Event::QueueDepth { .. } => 4,
+            Event::BlockEnd { .. } => 5,
+            Event::BlockStart { .. } => 6,
+            Event::Transfer { .. } => 7,
+            Event::Completion { .. } => 8,
+            Event::Utilization { .. } => 9,
         }
     }
 }
@@ -292,6 +318,7 @@ impl Recorder {
                         r.model = model.clone();
                         r.arrival_us = *t_us;
                     }
+                    Event::Drop { model, .. } => r.model = model.clone(),
                     Event::Enqueue { displaced, .. } => {
                         r.displaced += *displaced as u64;
                         if *displaced > 0 {
@@ -492,43 +519,6 @@ pub struct Summary {
     pub dropped_events: u64,
 }
 
-/// Thread-safe wrapper used by the live runtime: clones share one
-/// underlying [`Recorder`] behind a mutex.
-#[derive(Debug, Clone, Default)]
-pub struct SharedRecorder {
-    inner: Arc<Mutex<Recorder>>,
-}
-
-impl SharedRecorder {
-    /// Shared unbounded recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Shared recorder with an explicit memory policy.
-    pub fn with_mode(mode: RecorderMode) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(Recorder::with_mode(mode))),
-        }
-    }
-
-    /// Append one event.
-    pub fn record(&self, event: Event) {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record(event);
-    }
-
-    /// Copy out the current recording.
-    pub fn snapshot(&self) -> Recorder {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,8 +645,8 @@ mod tests {
     fn ring_mode_bounds_memory() {
         let mut r = Recorder::with_mode(RecorderMode::Ring(4));
         for i in 0..10 {
-            r.record(Event::Mark {
-                label: format!("m{i}"),
+            r.record(Event::QueueDepth {
+                depth: i,
                 t_us: i as f64,
             });
         }
@@ -665,27 +655,5 @@ mod tests {
         let first = r.events().next().unwrap().t_us();
         assert_eq!(first, 6.0);
         assert_eq!(r.summary().dropped_events, 6);
-    }
-
-    #[test]
-    fn shared_recorder_merges_across_threads() {
-        let shared = SharedRecorder::new();
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let s = shared.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100u64 {
-                        s.record(Event::Mark {
-                            label: format!("t{t}"),
-                            t_us: i as f64,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(shared.snapshot().len(), 400);
     }
 }

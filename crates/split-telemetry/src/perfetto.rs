@@ -242,8 +242,13 @@ pub fn trace_events(rec: &Recorder, process_name: &str) -> Value {
             Event::Utilization { busy, t_us } => {
                 events.push(counter("utilization", *t_us, "busy", f(*busy)));
             }
-            Event::Mark { label, t_us } => {
-                events.push(instant(label, "mark", *t_us, vec![]));
+            Event::Drop { req, model, t_us } => {
+                events.push(instant(
+                    "drop",
+                    "lifecycle",
+                    *t_us,
+                    vec![("req", u(*req)), ("model", s(model.clone()))],
+                ));
             }
         }
     }
@@ -278,6 +283,15 @@ fn arg_f64(e: &Value, key: &str) -> Option<f64> {
     num(e.get("args")?.get(key)?)
 }
 
+/// String argument, empty when absent.
+fn arg_str(e: &Value, key: &str) -> String {
+    e.get("args")
+        .and_then(|a| a.get(key))
+        .and_then(Value::as_str)
+        .unwrap_or_default()
+        .to_string()
+}
+
 /// Rebuild a [`Recorder`] from a `trace_events` document previously
 /// produced by [`trace_events`] — the inverse mapping of the exporter
 /// (instants by name, `"block"`/`"io"` complete spans back to
@@ -301,15 +315,9 @@ pub fn recorder_from_trace_events(doc: &Value) -> Result<Recorder, String> {
             "i" => match name {
                 "arrival" => {
                     if let Some(req) = arg_u64(e, "req") {
-                        let model = e
-                            .get("args")
-                            .and_then(|a| a.get("model"))
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string();
                         out.push(Event::Arrival {
                             req,
-                            model,
+                            model: arg_str(e, "model"),
                             t_us: ts,
                         });
                     }
@@ -325,12 +333,7 @@ pub fn recorder_from_trace_events(doc: &Value) -> Result<Recorder, String> {
                             req,
                             position: arg_u64(e, "position").unwrap_or(0) as usize,
                             comparisons: arg_u64(e, "comparisons").unwrap_or(0) as usize,
-                            stop: e
-                                .get("args")
-                                .and_then(|a| a.get("stop"))
-                                .and_then(Value::as_str)
-                                .unwrap_or_default()
-                                .to_string(),
+                            stop: arg_str(e, "stop"),
                             decision_ns: arg_u64(e, "decision_ns").unwrap_or(0),
                             publish_ns: arg_u64(e, "publish_ns").unwrap_or(0),
                             t_us: ts,
@@ -357,10 +360,15 @@ pub fn recorder_from_trace_events(doc: &Value) -> Result<Recorder, String> {
                         });
                     }
                 }
-                _ if cat == "mark" => out.push(Event::Mark {
-                    label: name.to_string(),
-                    t_us: ts,
-                }),
+                "drop" => {
+                    if let Some(req) = arg_u64(e, "req") {
+                        out.push(Event::Drop {
+                            req,
+                            model: arg_str(e, "model"),
+                            t_us: ts,
+                        });
+                    }
+                }
                 _ => {}
             },
             "X" if cat == "block" => {
@@ -415,21 +423,7 @@ pub fn recorder_from_trace_events(doc: &Value) -> Result<Recorder, String> {
 
     // Same same-timestamp ordering the scheduler uses when it merges
     // lifecycle streams, so a replay observes causally-ordered events.
-    fn rank(e: &Event) -> u8 {
-        match e {
-            Event::Arrival { .. } => 0,
-            Event::Downgrade { .. } => 1,
-            Event::PreemptDecision { .. } => 2,
-            Event::Enqueue { .. } => 3,
-            Event::QueueDepth { .. } => 4,
-            Event::BlockEnd { .. } => 5,
-            Event::BlockStart { .. } => 6,
-            Event::Transfer { .. } => 7,
-            Event::Completion { .. } => 8,
-            Event::Utilization { .. } | Event::Mark { .. } => 9,
-        }
-    }
-    out.sort_by(|a, b| a.t_us().total_cmp(&b.t_us()).then(rank(a).cmp(&rank(b))));
+    out.sort_by(|a, b| a.t_us().total_cmp(&b.t_us()).then(a.rank().cmp(&b.rank())));
 
     let mut rec = Recorder::new();
     for e in out {
@@ -564,6 +558,25 @@ mod tests {
         // And the derived summary (e2e latency) survives the roundtrip.
         let e2e: Vec<f64> = back.summary().requests.iter().map(|r| r.e2e_us()).collect();
         assert_eq!(e2e, vec![9.5]);
+    }
+
+    #[test]
+    fn drop_roundtrips_as_an_instant() {
+        let mut rec = Recorder::new();
+        let drop = Event::Drop {
+            req: 8,
+            model: "ghost".into(),
+            t_us: 2.5,
+        };
+        rec.record(drop.clone());
+        let doc = trace_events(&rec, "split-runtime");
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        assert!(events.iter().any(|e| {
+            e.get("ph").and_then(Value::as_str) == Some("i")
+                && e.get("name").and_then(Value::as_str) == Some("drop")
+        }));
+        let back = recorder_from_trace_events(&doc).unwrap();
+        assert_eq!(back.events().collect::<Vec<_>>(), vec![&drop]);
     }
 
     #[test]
