@@ -39,5 +39,5 @@ pub use fluid::{FluidJob, FluidSim};
 pub use kernel::{block_time_us, op_time_us, op_times_us, split_block_times_us};
 pub use memory::{ModelMemory, ResidencyOutcome};
 pub use timeline::Timeline;
-pub use trace::{parse_block_label, Trace, TraceEvent, TransferRecord};
+pub use trace::{parse_block_label, SpanLabel, Trace, TraceEvent, TransferRecord};
 pub use transfer::boundary_transfer_us;

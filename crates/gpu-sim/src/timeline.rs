@@ -5,7 +5,8 @@
 //! shared lane — callers ask to run a span of known duration no earlier
 //! than some time, and get back the realized `(start, end)`.
 
-use crate::trace::Trace;
+use crate::trace::{SpanLabel, Trace};
+use std::sync::Arc;
 
 /// A single-lane device timeline with an attached [`Trace`].
 #[derive(Debug, Default)]
@@ -34,10 +35,29 @@ impl Timeline {
         earliest_us: f64,
         duration_us: f64,
     ) -> (f64, f64) {
+        self.run(SpanLabel::Text(label.into()), earliest_us, duration_us)
+    }
+
+    /// [`Timeline::execute`] for one run of request `req` of `model`,
+    /// recorded as a typed span (see [`Trace::record_block`]); `block` is
+    /// `None` for an unsplit run.
+    pub fn execute_block(
+        &mut self,
+        model: Arc<str>,
+        req: u64,
+        block: Option<usize>,
+        earliest_us: f64,
+        duration_us: f64,
+    ) -> (f64, f64) {
+        let label = SpanLabel::Block { model, req, block };
+        self.run(label, earliest_us, duration_us)
+    }
+
+    fn run(&mut self, label: SpanLabel, earliest_us: f64, duration_us: f64) -> (f64, f64) {
         debug_assert!(duration_us >= 0.0);
         let start = self.busy_until_us.max(earliest_us);
         let end = start + duration_us;
-        self.trace.record(label, 0, start, end);
+        self.trace.push(label, 0, start, end);
         self.busy_until_us = end;
         (start, end)
     }

@@ -6,6 +6,9 @@
 
 use serde::{Deserialize, Serialize};
 use split_telemetry::Event;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Fill glyph for a Gantt row. The first nine rows use the classic
 /// high-contrast set; rows beyond that switch to letters and digits so
@@ -20,11 +23,12 @@ fn row_glyph(row: usize) -> char {
     }
 }
 
-/// Parse a scheduler span label of the form `model#req` or
-/// `model#req/bN` into `(model, request id, block index)`.
+/// Parse a span label of the form `model#req` or `model#req/bN` into
+/// `(model, request id, block index)`.
 ///
-/// Every policy in `sched` labels its spans this way; the lifecycle
-/// exporter uses this to attribute device spans back to requests.
+/// This is the text form of a [`SpanLabel::Block`]: a trace recorded
+/// with text labels (hand-built test traces, figure lanes) is attributed
+/// to requests through it, exactly as if the spans had been typed.
 pub fn parse_block_label(label: &str) -> Option<(&str, u64, Option<usize>)> {
     let hash = label.rfind('#')?;
     let (model, rest) = (&label[..hash], &label[hash + 1..]);
@@ -39,11 +43,115 @@ pub fn parse_block_label(label: &str) -> Option<(&str, u64, Option<usize>)> {
     Some((model, req, block))
 }
 
+/// What a device span executed.
+///
+/// The scheduling policies record typed [`SpanLabel::Block`]s, so a span
+/// costs a refcount bump rather than a formatted string; the text form
+/// `model#req/bN` is rendered only when the label is displayed.
+#[derive(Debug, Clone)]
+pub enum SpanLabel {
+    /// One run of a request: displayed `model#req/bN`, or `model#req`
+    /// for a span that is not a numbered block.
+    Block {
+        /// Model name, shared with the deployment table.
+        model: Arc<str>,
+        /// Request id.
+        req: u64,
+        /// Block index within the request's plan, when numbered.
+        block: Option<usize>,
+    },
+    /// Free-form text (figure lanes, hand-built traces).
+    Text(String),
+}
+
+impl SpanLabel {
+    /// `(model, request id, block index)` of a request's span: the typed
+    /// fields, or a text label read with [`parse_block_label`]. `None`
+    /// for text that names no request.
+    pub fn block(&self) -> Option<(&str, u64, Option<usize>)> {
+        match self {
+            SpanLabel::Block { model, req, block } => Some((model, *req, *block)),
+            SpanLabel::Text(text) => parse_block_label(text),
+        }
+    }
+}
+
+impl fmt::Display for SpanLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanLabel::Block { model, req, block } => {
+                write!(f, "{model}#{req}")?;
+                match block {
+                    Some(b) => write!(f, "/b{b}"),
+                    None => Ok(()),
+                }
+            }
+            SpanLabel::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+/// Labels are equal when their text is: a typed block equals the text
+/// label it displays as.
+impl PartialEq for SpanLabel {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (SpanLabel::Text(text), label) | (label, SpanLabel::Text(text)) => {
+                label == text.as_str()
+            }
+            (
+                SpanLabel::Block { model, req, block },
+                SpanLabel::Block {
+                    model: m,
+                    req: r,
+                    block: b,
+                },
+            ) => (model, req, block) == (m, r, b),
+        }
+    }
+}
+
+/// Compares the displayed text piece by piece, without rendering it.
+impl PartialEq<str> for SpanLabel {
+    fn eq(&self, other: &str) -> bool {
+        struct Rest<'a>(&'a str);
+        impl fmt::Write for Rest<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Rest(other);
+        write!(rest, "{self}").is_ok() && rest.0.is_empty()
+    }
+}
+
+impl PartialEq<&str> for SpanLabel {
+    fn eq(&self, other: &&str) -> bool {
+        *self == **other
+    }
+}
+
+/// Serialized as its displayed text.
+impl Serialize for SpanLabel {
+    fn serialize_value(&self) -> serde::Value {
+        serde::Value::String(self.to_string())
+    }
+}
+
+/// Read back as text; it still attributes to its request through
+/// [`SpanLabel::block`].
+impl Deserialize for SpanLabel {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        String::deserialize_value(v).map(SpanLabel::Text)
+    }
+}
+
 /// One executed span on the device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
-    /// Human-readable label, e.g. `"req3/resnet50/block1"`.
-    pub label: String,
+    /// What ran, e.g. `resnet50#3/b1`.
+    pub label: SpanLabel,
     /// Stream (lane) the span ran on; sequential policies use stream 0.
     pub stream: usize,
     /// Start time, microseconds.
@@ -87,11 +195,35 @@ impl Trace {
         Self::default()
     }
 
-    /// Record a span.
+    /// Record a span with a free-form text label.
     pub fn record(&mut self, label: impl Into<String>, stream: usize, start_us: f64, end_us: f64) {
+        self.push(SpanLabel::Text(label.into()), stream, start_us, end_us);
+    }
+
+    /// Record one run of request `req` of `model`: block `block` of its
+    /// plan, or `None` for a span that is not a numbered block. Displays
+    /// as `model#req/bN` (`model#req`), but formats nothing until shown.
+    pub fn record_block(
+        &mut self,
+        model: Arc<str>,
+        req: u64,
+        block: Option<usize>,
+        stream: usize,
+        start_us: f64,
+        end_us: f64,
+    ) {
+        self.push(
+            SpanLabel::Block { model, req, block },
+            stream,
+            start_us,
+            end_us,
+        );
+    }
+
+    pub(crate) fn push(&mut self, label: SpanLabel, stream: usize, start_us: f64, end_us: f64) {
         debug_assert!(end_us >= start_us, "span ends before it starts");
         self.events.push(TraceEvent {
-            label: label.into(),
+            label,
             stream,
             start_us,
             end_us,
@@ -119,11 +251,15 @@ impl Trace {
         &self.transfers
     }
 
-    /// Events whose label contains `needle`.
+    /// Events whose label text contains `needle`.
     pub fn matching(&self, needle: &str) -> Vec<&TraceEvent> {
+        let mut text = String::new();
         self.events
             .iter()
-            .filter(|e| e.label.contains(needle))
+            .filter(|e| {
+                text.clear();
+                write!(text, "{}", e.label).is_ok() && text.contains(needle)
+            })
             .collect()
     }
 
@@ -148,42 +284,51 @@ impl Trace {
         None
     }
 
-    /// Export the trace as telemetry [`Event::BlockStart`] /
-    /// [`Event::BlockEnd`] pairs, ordered by start time.
-    ///
-    /// Request ids come from [`parse_block_label`]; spans with
-    /// unparseable labels are skipped. Block indices are assigned per
-    /// request in start order (matching the `/bN` suffix when present).
-    /// Streams are re-assigned by greedy interval coloring — concurrent
-    /// spans land on distinct streams even when the recording policy
-    /// folded several requests onto one lane — so the export always
-    /// satisfies the recorder's no-same-stream-overlap invariant and
-    /// renders one clean track per concurrency lane in Perfetto.
+    /// Export the trace as telemetry events: [`Trace::block_events`],
+    /// then one [`Event::Transfer`] per recorded transfer
+    /// ([`Trace::transfer_events`]).
     pub fn lifecycle_events(&self) -> Vec<Event> {
-        let mut spans: Vec<&TraceEvent> = self
+        self.block_events().chain(self.transfer_events()).collect()
+    }
+
+    /// The request spans as [`Event::BlockStart`] / [`Event::BlockEnd`]
+    /// pairs, ordered by start time (then end time; recording order
+    /// breaks ties), generated lazily.
+    ///
+    /// Request ids and block indices are read from [`SpanLabel::block`];
+    /// spans that name no request are skipped. A span without a block
+    /// index is numbered per request in start order. Streams are
+    /// re-assigned by greedy interval coloring — concurrent spans land on
+    /// distinct streams even when the recording policy folded several
+    /// requests onto one lane — so the export always satisfies the
+    /// recorder's no-same-stream-overlap invariant and renders one clean
+    /// track per concurrency lane in Perfetto.
+    pub fn block_events(&self) -> impl Iterator<Item = Event> + '_ {
+        let mut spans: Vec<(&TraceEvent, u64, Option<usize>)> = self
             .events
             .iter()
-            .filter(|e| parse_block_label(&e.label).is_some())
+            .filter_map(|e| e.label.block().map(|(_, req, block)| (e, req, block)))
             .collect();
-        spans.sort_by(|a, b| {
-            a.start_us
-                .total_cmp(&b.start_us)
-                .then(a.end_us.total_cmp(&b.end_us))
-        });
+        let by_time = |a: &(&TraceEvent, u64, Option<usize>),
+                       b: &(&TraceEvent, u64, Option<usize>)| {
+            a.0.start_us
+                .total_cmp(&b.0.start_us)
+                .then(a.0.end_us.total_cmp(&b.0.end_us))
+        };
+        // Sequential policies record in start order already.
+        if !spans.is_sorted_by(|a, b| by_time(a, b).is_le()) {
+            spans.sort_by(by_time);
+        }
 
-        let mut blocks_seen: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
+        let mut unnumbered: BTreeMap<u64, usize> = BTreeMap::new();
         // Greedy coloring: lane i is free once its last span has ended.
         let mut lane_free_us: Vec<f64> = Vec::new();
-        let mut out = Vec::with_capacity(spans.len() * 2);
-        for e in spans {
-            let (_, req, _) = parse_block_label(&e.label).expect("filtered above");
-            let block = {
-                let n = blocks_seen.entry(req).or_insert(0);
-                let b = *n;
+        spans.into_iter().flat_map(move |(e, req, labeled)| {
+            let block = labeled.unwrap_or_else(|| {
+                let n = unnumbered.entry(req).or_insert(0);
                 *n += 1;
-                b
-            };
+                *n - 1
+            });
             let stream = match lane_free_us
                 .iter()
                 .position(|&free| free <= e.start_us + 1e-9)
@@ -197,28 +342,31 @@ impl Trace {
                     lane_free_us.len() - 1
                 }
             } as u32;
-            out.push(Event::BlockStart {
-                req,
-                block,
-                stream,
-                t_us: e.start_us,
-            });
-            out.push(Event::BlockEnd {
-                req,
-                block,
-                stream,
-                t_us: e.end_us,
-            });
-        }
-        for t in &self.transfers {
-            out.push(Event::Transfer {
-                req: t.req,
-                bytes: t.bytes,
-                t_us: t.start_us,
-                dur_us: t.dur_us,
-            });
-        }
-        out
+            [
+                Event::BlockStart {
+                    req,
+                    block,
+                    stream,
+                    t_us: e.start_us,
+                },
+                Event::BlockEnd {
+                    req,
+                    block,
+                    stream,
+                    t_us: e.end_us,
+                },
+            ]
+        })
+    }
+
+    /// One [`Event::Transfer`] per recorded transfer, in recording order.
+    pub fn transfer_events(&self) -> impl Iterator<Item = Event> + '_ {
+        self.transfers.iter().map(|t| Event::Transfer {
+            req: t.req,
+            bytes: t.bytes,
+            t_us: t.start_us,
+            dur_us: t.dur_us,
+        })
     }
 
     /// Sample device utilization over fixed buckets of `bucket_us`,
@@ -239,7 +387,9 @@ impl Trace {
 
         // Merge spans across streams into disjoint busy intervals.
         let mut iv: Vec<(f64, f64)> = self.events.iter().map(|e| (e.start_us, e.end_us)).collect();
-        iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if !iv.is_sorted_by(|a, b| a.0.total_cmp(&b.0).is_le()) {
+            iv.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
         let mut merged: Vec<(f64, f64)> = Vec::new();
         for (s, e) in iv {
             match merged.last_mut() {
@@ -250,13 +400,20 @@ impl Trace {
 
         let buckets = (((t1 - t0) / bucket_us).ceil() as usize).max(1);
         let mut out = Vec::with_capacity(buckets);
+        // Sweep: intervals ending by a bucket's start, or starting at or
+        // after its end, would add exactly +0.0, so each bucket sums only
+        // the intervals it overlaps, in the same order.
+        let mut first = 0;
         for k in 0..buckets {
             let lo = t0 + k as f64 * bucket_us;
             let hi = lo + bucket_us;
-            let busy: f64 = merged
-                .iter()
-                .map(|&(s, e)| (e.min(hi) - s.max(lo)).max(0.0))
-                .sum();
+            while merged.get(first).is_some_and(|&(_, e)| e <= lo) {
+                first += 1;
+            }
+            let mut busy = 0.0;
+            for &(s, e) in merged[first..].iter().take_while(|&&(s, _)| s < hi) {
+                busy += (e.min(hi) - s.max(lo)).max(0.0);
+            }
             out.push(Event::Utilization {
                 busy: (busy / bucket_us).clamp(0.0, 1.0),
                 t_us: hi,
@@ -304,7 +461,8 @@ impl Trace {
         let span = (t1 - t0).max(1e-9);
         let mut rows: Vec<(String, Vec<char>)> = Vec::new();
         for e in &self.events {
-            let key = e.label.split('/').next().unwrap_or(&e.label).to_string();
+            let mut key = e.label.to_string();
+            key.truncate(key.find('/').unwrap_or(key.len()));
             let row = match rows.iter().position(|(k, _)| *k == key) {
                 Some(i) => i,
                 None => {
@@ -320,18 +478,16 @@ impl Trace {
             }
         }
         let label_w = rows.iter().map(|(k, _)| k.len()).max().unwrap_or(4);
+        // Writing to a String cannot fail.
         let mut out = String::new();
         for (k, cells) in rows {
-            out.push_str(&format!("{k:label_w$} |"));
+            let _ = write!(out, "{k:label_w$} |");
             out.extend(cells);
             out.push_str("|\n");
         }
-        out.push_str(&format!(
-            "{:label_w$} |{:<w$}|\n",
-            "us",
-            format!("{t0:.0} .. {t1:.0}"),
-            w = width
-        ));
+        let mut range = String::new();
+        let _ = write!(range, "{t0:.0} .. {t1:.0}");
+        let _ = writeln!(out, "{:label_w$} |{range:<width$}|", "us");
         out
     }
 }
@@ -419,6 +575,61 @@ mod tests {
         );
         assert_eq!(parse_block_label("no-request-id"), None);
         assert_eq!(parse_block_label("m#x/b1"), None);
+    }
+
+    /// A typed span is its text label, formatted lazily: recording the
+    /// same spans either way exports, renders and matches identically.
+    #[test]
+    fn typed_spans_match_text_labels() {
+        // (model, req, block, stream, start, end)
+        let spans = [
+            ("long", 0, Some(0), 0, 0.0, 10.0),
+            ("short", 1, None, 0, 10.0, 15.0),
+            ("long", 0, Some(1), 0, 15.0, 25.0),
+            ("m", 3, Some(1), 1, 5.0, 12.0),
+            ("short", 1, None, 1, 30.0, 31.0),
+        ];
+        let mut typed = Trace::new();
+        let mut text = Trace::new();
+        for &(model, req, block, stream, start, end) in &spans {
+            typed.record_block(Arc::from(model), req, block, stream, start, end);
+            let label = match block {
+                Some(b) => format!("{model}#{req}/b{b}"),
+                None => format!("{model}#{req}"),
+            };
+            text.record(label, stream, start, end);
+        }
+        typed.record_transfer(0, 4096, 15.0, 0.0);
+        text.record_transfer(0, 4096, 15.0, 0.0);
+
+        assert_eq!(typed.lifecycle_events(), text.lifecycle_events());
+        assert_eq!(typed.render_ascii(40), text.render_ascii(40));
+        for needle in ["long", "#1", "m#3/b1", "/b0", "absent"] {
+            let shown = |t: &Trace| -> Vec<(String, usize, f64, f64)> {
+                t.matching(needle)
+                    .iter()
+                    .map(|e| (e.label.to_string(), e.stream, e.start_us, e.end_us))
+                    .collect()
+            };
+            assert_eq!(shown(&typed), shown(&text), "needle {needle}");
+        }
+        assert_eq!(typed.events(), text.events(), "labels compare by text");
+
+        for e in typed.events() {
+            let shown = e.label.to_string();
+            assert_eq!(parse_block_label(&shown), e.label.block(), "{shown}");
+        }
+        let label = SpanLabel::Block {
+            model: Arc::from("m"),
+            req: 3,
+            block: Some(1),
+        };
+        assert_eq!(label.to_string(), "m#3/b1");
+        assert_eq!(
+            parse_block_label(&label.to_string()),
+            Some(("m", 3, Some(1)))
+        );
+        assert_eq!(label, "m#3/b1");
     }
 
     #[test]

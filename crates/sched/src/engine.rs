@@ -172,79 +172,107 @@ const UTILIZATION_BUCKETS: usize = 64;
 /// validate and export identically. Public so harnesses that call a
 /// policy function directly (e.g. the Figure 3 round-robin ablation)
 /// can still produce a full recording.
+///
+/// The recording is ordered by `(t_us, rank)`, ties kept in source
+/// order: arrivals, block spans, transfers, completions, queue depth,
+/// utilization, policy events. Each source is already a time-ordered
+/// run (a run that is not is stably sorted on its own), so one k-way
+/// merge yields exactly what a stable sort of their concatenation
+/// would — without building that concatenation or sorting it.
 pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResult {
-    // Compute the derived pieces first so the merged vector can be
-    // allocated exactly once, then fill it in the same source order as
-    // always: arrivals, trace lifecycle, completions, queue depth,
-    // utilization, policy recorder. The stable sort below is what
-    // actually orders the recording, but the concatenation order is the
-    // tie-break *input* order, so it must not change.
-    let trace_events = result.trace.lifecycle_events();
-    let utilization = {
-        let span = result
-            .trace
-            .events()
-            .iter()
-            .map(|e| e.end_us)
-            .fold(None::<f64>, |m, e| Some(m.map_or(e, |m| m.max(e))));
-        match span {
-            Some(span) => {
-                let t0 = result
-                    .trace
-                    .events()
-                    .iter()
-                    .map(|e| e.start_us)
-                    .fold(f64::INFINITY, f64::min);
-                let bucket = ((span - t0) / UTILIZATION_BUCKETS as f64).max(1.0);
-                result.trace.utilization_series(bucket)
-            }
-            None => Vec::new(),
-        }
-    };
-    // Move the policy's decision events out instead of cloning each one.
-    let policy_events = std::mem::take(&mut result.recorder).into_events();
+    use split_telemetry::Event;
+    let trace = &result.trace;
+    let completions = &result.completions;
+
+    let arrival_run = run(
+        arrivals.iter().map(|a| Event::Arrival {
+            req: a.id,
+            model: a.model.clone(),
+            t_us: a.arrival_us,
+        }),
+        ordered(arrivals.iter().map(|a| (a.arrival_us, 0))),
+    );
+    let block_run = run(
+        trace.block_events(),
+        ordered(trace.block_events().map(|e| (e.t_us(), e.rank()))),
+    );
+    let transfer_run = run(
+        trace.transfer_events(),
+        ordered(trace.transfers().iter().map(|t| (t.start_us, 0))),
+    );
+    let completion_run = run(
+        completions.iter().map(|c| Event::Completion {
+            req: c.id,
+            t_us: c.end_us,
+        }),
+        ordered(completions.iter().map(|c| (c.end_us, 0))),
+    );
 
     // In-system request count: +1 on arrival, -1 on completion
     // (completions first on ties so an instant never over-counts).
-    let mut deltas: Vec<(f64, i64)> = Vec::with_capacity(arrivals.len() + result.completions.len());
-    deltas.extend(arrivals.iter().map(|a| (a.arrival_us, 1)));
-    deltas.extend(result.completions.iter().map(|c| (c.end_us, -1)));
-    deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut events: Vec<split_telemetry::Event> = Vec::with_capacity(
-        arrivals.len()
-            + trace_events.len()
-            + result.completions.len()
-            + deltas.len()
-            + utilization.len()
-            + policy_events.len(),
-    );
-    events.extend(arrivals.iter().map(|a| split_telemetry::Event::Arrival {
-        req: a.id,
-        model: a.model.clone(),
-        t_us: a.arrival_us,
-    }));
-    events.extend(trace_events);
-    events.extend(
-        result
-            .completions
-            .iter()
-            .map(|c| split_telemetry::Event::Completion {
-                req: c.id,
-                t_us: c.end_us,
-            }),
-    );
+    let ups = arrivals.iter().map(|a| (a.arrival_us, 1i64));
+    let downs = completions.iter().map(|c| (c.end_us, -1i64));
+    let deltas: Box<dyn Iterator<Item = (f64, i64)> + '_> =
+        if ordered(ups.clone().map(|u| (u.0, 0))) && ordered(downs.clone().map(|d| (d.0, 0))) {
+            let (mut ups, mut downs) = (ups.peekable(), downs.peekable());
+            Box::new(std::iter::from_fn(move || {
+                match (downs.peek(), ups.peek()) {
+                    (Some(d), Some(u)) if u.0.total_cmp(&d.0).is_lt() => ups.next(),
+                    (Some(_), _) => downs.next(),
+                    (None, _) => ups.next(),
+                }
+            }))
+        } else {
+            let mut all: Vec<(f64, i64)> = ups.chain(downs).collect();
+            all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            Box::new(all.into_iter())
+        };
     let mut depth = 0i64;
-    events.extend(deltas.into_iter().map(|(t_us, d)| {
+    let queue_depth = deltas.map(move |(t_us, d)| {
         depth += d;
-        split_telemetry::Event::QueueDepth {
+        Event::QueueDepth {
             depth: depth.max(0) as usize,
             t_us,
         }
-    }));
-    events.extend(utilization);
-    events.extend(policy_events);
-    events.sort_by(|a, b| a.t_us().total_cmp(&b.t_us()).then(a.rank().cmp(&b.rank())));
+    });
+
+    let utilization = match trace.events().iter().map(|e| e.end_us).reduce(f64::max) {
+        Some(span) => {
+            let t0 = trace
+                .events()
+                .iter()
+                .map(|e| e.start_us)
+                .fold(f64::INFINITY, f64::min);
+            let bucket = ((span - t0) / UTILIZATION_BUCKETS as f64).max(1.0);
+            trace.utilization_series(bucket)
+        }
+        None => Vec::new(),
+    };
+
+    // Move the policy's decision events out instead of cloning each one.
+    let policy = std::mem::take(&mut result.recorder).into_events();
+    let policy_len = policy.len();
+    let policy_ordered = ordered(policy.iter().map(|e| (e.t_us(), e.rank())));
+    let policy_run = run(policy.into_iter(), policy_ordered);
+
+    let len = arrivals.len() * 2
+        + trace.events().len() * 2
+        + trace.transfers().len()
+        + completions.len() * 2
+        + utilization.len()
+        + policy_len;
+    let events = merge(
+        vec![
+            arrival_run,
+            block_run,
+            transfer_run,
+            completion_run,
+            Box::new(queue_depth),
+            Box::new(utilization.into_iter()),
+            policy_run,
+        ],
+        len,
+    );
 
     // Pin the recording decision now (scoped `with_flight` overrides
     // end with the caller): off pins the disabled snapshot; on leaves
@@ -257,6 +285,59 @@ pub fn attach_lifecycle(arrivals: &[Arrival], mut result: SimResult) -> SimResul
 
     result.recorder = split_telemetry::Recorder::from_events(events);
     result
+}
+
+/// One time-ordered source of lifecycle events.
+type Run<'a> = Box<dyn Iterator<Item = split_telemetry::Event> + 'a>;
+
+/// Whether `(t_us, rank)` keys are already in recording order.
+fn ordered(keys: impl Iterator<Item = (f64, u8)>) -> bool {
+    keys.is_sorted_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_le())
+}
+
+/// `events` as a merge run: as they come when `ordered`, else stably
+/// sorted by `(t_us, rank)` on their own.
+fn run<'a>(events: impl Iterator<Item = split_telemetry::Event> + 'a, ordered: bool) -> Run<'a> {
+    if ordered {
+        return Box::new(events);
+    }
+    let mut events: Vec<_> = events.collect();
+    events.sort_by(|a, b| a.t_us().total_cmp(&b.t_us()).then(a.rank().cmp(&b.rank())));
+    Box::new(events.into_iter())
+}
+
+/// Merge runs, each ordered by `(t_us, rank)`, into one recording of
+/// capacity `len`. The smallest head wins and equal keys go to the
+/// earlier run, which is what a stable sort of the runs' concatenation
+/// produces.
+fn merge(runs: Vec<Run<'_>>, len: usize) -> Vec<split_telemetry::Event> {
+    let mut out = Vec::with_capacity(len);
+    // Each live run's head event and its key, in run order; a run leaves
+    // the list (keeping the others' order) when it runs dry.
+    let mut heads: Vec<(split_telemetry::Event, Run<'_>)> = runs
+        .into_iter()
+        .filter_map(|mut run| run.next().map(|e| (e, run)))
+        .collect();
+    let mut keys: Vec<(f64, u8)> = heads.iter().map(|(e, _)| (e.t_us(), e.rank())).collect();
+    while !heads.is_empty() {
+        let mut i = 0;
+        for (j, k) in keys.iter().enumerate().skip(1) {
+            if k.0.total_cmp(&keys[i].0).then(k.1.cmp(&keys[i].1)).is_lt() {
+                i = j;
+            }
+        }
+        match heads[i].1.next() {
+            Some(e) => {
+                keys[i] = (e.t_us(), e.rank());
+                out.push(std::mem::replace(&mut heads[i].0, e));
+            }
+            None => {
+                keys.remove(i);
+                out.push(heads.remove(i).0);
+            }
+        }
+    }
+    out
 }
 
 /// Serve `arrivals` over `models` with the chosen policy.

@@ -68,7 +68,7 @@ pub fn block_round_robin(arrivals: &[Arrival], models: &ModelTable) -> SimResult
         let blk = r.blocks.pop_front().expect("live request has blocks");
         let (name, task, exec, _) = &resolved[r.model_idx];
         let idx = r.blocks_total - r.blocks.len() - 1;
-        trace.record(format!("{name}#{}/b{idx}", r.id), 0, now, now + blk);
+        trace.record_block(name.clone(), r.id, Some(idx), 0, now, now + blk);
         r.started.get_or_insert(now);
         now += blk;
 
@@ -142,7 +142,12 @@ mod tests {
         // A arrives first, B during A's first block: blocks alternate.
         let arrivals = vec![arrival(0, "a", 0.0), arrival(1, "b", 2_000.0)];
         let r = block_round_robin(&arrivals, &table());
-        let labels: Vec<&str> = r.trace.events().iter().map(|e| e.label.as_str()).collect();
+        let labels: Vec<String> = r
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.label.to_string())
+            .collect();
         assert_eq!(
             labels,
             vec!["a#0/b0", "b#1/b0", "a#0/b1", "b#1/b1", "a#0/b2"]

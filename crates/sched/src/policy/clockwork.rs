@@ -17,7 +17,7 @@ pub fn clockwork(arrivals: &[Arrival], models: &ModelTable) -> SimResult {
     let mut completions = Vec::with_capacity(arrivals.len());
     for a in arrivals {
         let m = models.get(&a.model);
-        let (start, end) = tl.execute(format!("{}#{}", m.name, a.id), a.arrival_us, m.exec_us);
+        let (start, end) = tl.execute_block(m.name.clone(), a.id, None, a.arrival_us, m.exec_us);
         completions.push(Completion {
             id: a.id,
             model: m.name.clone(),
@@ -66,7 +66,7 @@ pub fn clockwork_with_dropping(
             dropped.push(a.id);
             continue;
         }
-        let (start, end) = tl.execute(format!("{}#{}", m.name, a.id), a.arrival_us, m.exec_us);
+        let (start, end) = tl.execute_block(m.name.clone(), a.id, None, a.arrival_us, m.exec_us);
         completions.push(Completion {
             id: a.id,
             model: m.name.clone(),

@@ -127,7 +127,7 @@ pub fn prema(arrivals: &[Arrival], models: &ModelTable, cfg: &PremaCfg) -> SimRe
             if p.started.is_none() {
                 p.started = Some(now + overhead);
             }
-            trace.record(format!("{}#{}", name, p.id), 0, now, now + overhead + slice);
+            trace.record_block(name.clone(), p.id, None, 0, now, now + overhead + slice);
             last_run = Some(p.id);
             p.remaining_us -= slice;
             now += overhead + slice;

@@ -46,11 +46,8 @@ pub fn sjf(arrivals: &[Arrival], models: &ModelTable) -> SimResult {
         let idx = waiting.remove(pick_pos);
         let a = &arrivals[idx];
         let m = models.get(&a.model);
-        let (start, end) = tl.execute(
-            format!("{}#{}", m.name, a.id),
-            now.max(a.arrival_us),
-            m.exec_us,
-        );
+        let (start, end) =
+            tl.execute_block(m.name.clone(), a.id, None, now.max(a.arrival_us), m.exec_us);
         now = end;
         completions.push(Completion {
             id: a.id,

@@ -15,7 +15,6 @@ use gpu_sim::Trace;
 use serde::{Deserialize, Serialize};
 use split_core::{greedy_preempt, ElasticConfig, ElasticController, QueueEntry};
 use split_telemetry::{Event, Recorder};
-use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 use workload::Arrival;
 
@@ -35,13 +34,16 @@ impl Default for SplitCfg {
     }
 }
 
-/// Everything the policy tracks about one resident request, in a single
-/// map entry. The model description is borrowed from the deployment
-/// table, so admission copies no strings and the per-block transfer
-/// lookup needs no name-keyed map walk.
+/// Everything the policy tracks about one resident request, in one slot
+/// of a dense table. The model description and the block times still to
+/// run are borrowed from the deployment table, so admission copies
+/// nothing and allocates nothing.
 struct ReqState<'a> {
+    id: u64,
     model: &'a ModelRuntime,
-    blocks: VecDeque<f64>,
+    /// Block times not yet dispatched: a tail of the plan's `blocks_us`,
+    /// or the lone `exec_us` of a downgraded request.
+    blocks: &'a [f64],
     arrival_us: f64,
     started: Option<f64>,
     blocks_done: usize,
@@ -51,13 +53,15 @@ struct ReqState<'a> {
 pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimResult {
     let mut elastic = cfg.elastic.clone().map(ElasticController::new);
 
-    // Per-request state (a BTreeMap: keyed lookups only, but a sorted map
-    // keeps every path deterministic by construction — audited by
-    // split-analyze).
-    let mut states: BTreeMap<u64, ReqState<'_>> = BTreeMap::new();
+    // Resident requests, one slot each. A finished request's slot goes on
+    // the free list for the next arrival, so the table stays as small as
+    // the peak number of requests in the system. Queue entries carry the
+    // slot index as their id; the request id lives in the slot.
+    let mut slots: Vec<ReqState<'_>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
 
     let mut queue: Vec<QueueEntry> = Vec::new();
-    let mut running: Option<(u64, f64)> = None; // (request id, block end)
+    let mut running: Option<(usize, f64)> = None; // (slot, block end)
     let mut trace = Trace::new();
     let mut completions = Vec::with_capacity(arrivals.len());
     // Decision-level telemetry; the engine layer merges in the uniform
@@ -72,13 +76,13 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
         // block.
         if running.is_none() {
             if let Some(head) = queue.first_mut() {
-                let id = head.id;
-                let st = states.get_mut(&id).expect("queued request has state");
-                let blk = st.blocks.pop_front().expect("queued request has blocks");
+                let slot = head.id as usize;
+                let st = &mut slots[slot];
+                let (&blk, rest) = st.blocks.split_first().expect("queued request has blocks");
+                st.blocks = rest;
                 // The in-flight block leaves the entry's `left_us`:
                 // preemption decisions weigh only work still reorderable.
                 head.left_us -= blk;
-                let name = &st.model.name;
                 // Index by blocks this request has actually executed — a
                 // downgraded request runs one vanilla block labeled b0,
                 // not the declared plan's last index (the split-analyze
@@ -86,18 +90,25 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
                 // from 0).
                 let block_idx = st.blocks_done;
                 st.blocks_done += 1;
-                trace.record(format!("{name}#{id}/b{block_idx}"), 0, now, now + blk);
+                trace.record_block(
+                    st.model.name.clone(),
+                    st.id,
+                    Some(block_idx),
+                    0,
+                    now,
+                    now + blk,
+                );
                 // Entering block N crosses boundary N−1: attribute the
                 // activation traffic. Zero duration — the transfer cost
                 // is already folded into the block overhead (§4), so
                 // schedules and latencies are unchanged.
                 if block_idx > 0 {
                     if let Some(&bytes) = st.model.transfer_bytes.get(block_idx - 1) {
-                        trace.record_transfer(id, bytes, now, 0.0);
+                        trace.record_transfer(st.id, bytes, now, 0.0);
                     }
                 }
                 st.started.get_or_insert(now);
-                running = Some((id, now + blk));
+                running = Some((slot, now + blk));
                 continue;
             }
         }
@@ -112,113 +123,122 @@ pub fn split(arrivals: &[Arrival], models: &ModelTable, cfg: &SplitCfg) -> SimRe
             (None, Some(_)) => false,
         };
         if arrival_first {
-            let ta = t_arrival.expect("arrival_first implies an arrival");
-            {
-                // Arrival first.
-                now = ta;
-                let a = &arrivals[next];
-                next += 1;
-                let m = models.get(&a.model);
-                let use_split = match elastic.as_mut() {
-                    Some(ctl) => ctl.on_arrival(now, m.task),
-                    None => true,
-                };
-                let blocks: VecDeque<f64> = if use_split {
-                    m.blocks_us.iter().copied().collect()
-                } else {
-                    std::iter::once(m.exec_us).collect()
-                };
-                if !use_split && m.blocks_us.len() > 1 {
-                    recorder.record(Event::Downgrade {
-                        req: a.id,
-                        from_blocks: m.blocks_us.len(),
-                        to_blocks: 1,
-                        t_us: now,
-                    });
-                }
-                let left: f64 = blocks.iter().sum();
-                states.insert(
-                    a.id,
-                    ReqState {
-                        model: m,
-                        blocks,
-                        arrival_us: now,
-                        started: None,
-                        blocks_done: 0,
-                    },
-                );
-                let t0 = Instant::now();
-                let decision = greedy_preempt(
-                    &mut queue,
-                    QueueEntry {
-                        id: a.id,
-                        task: m.task,
-                        exec_us: m.exec_us,
-                        left_us: left,
-                        arrival_us: now,
-                    },
-                );
-                let decision_ns = t0.elapsed().as_nanos() as u64;
-                recorder.record(Event::PreemptDecision {
+            now = t_arrival.expect("arrival_first implies an arrival");
+            let a = &arrivals[next];
+            next += 1;
+            let m = models.get(&a.model);
+            let use_split = match elastic.as_mut() {
+                Some(ctl) => ctl.on_arrival(now, m.task),
+                None => true,
+            };
+            let blocks: &[f64] = if use_split {
+                &m.blocks_us
+            } else {
+                std::slice::from_ref(&m.exec_us)
+            };
+            if !use_split && m.blocks_us.len() > 1 {
+                recorder.record(Event::Downgrade {
                     req: a.id,
-                    position: decision.position,
-                    comparisons: decision.comparisons,
-                    stop: format!("{:?}", decision.stop),
-                    decision_ns,
-                    // The discrete-event simulator has no slot-publish
-                    // step: the decision is applied synchronously, so
-                    // publish-to-applied equals the greedy scan itself.
-                    publish_ns: decision_ns,
-                    t_us: now,
-                });
-                debug_assert!(
-                    decision.position < queue.len(),
-                    "greedy_preempt returned position {} past queue of {}",
-                    decision.position,
-                    queue.len()
-                );
-                recorder.record(Event::Enqueue {
-                    req: a.id,
-                    position: decision.position,
-                    displaced: queue
-                        .len()
-                        .saturating_sub(1)
-                        .saturating_sub(decision.position),
+                    from_blocks: m.blocks_us.len(),
+                    to_blocks: 1,
                     t_us: now,
                 });
             }
+            let left: f64 = blocks.iter().sum();
+            let st = ReqState {
+                id: a.id,
+                model: m,
+                blocks,
+                arrival_us: now,
+                started: None,
+                blocks_done: 0,
+            };
+            let slot = match free.pop() {
+                Some(slot) => {
+                    slots[slot] = st;
+                    slot
+                }
+                None => {
+                    slots.push(st);
+                    slots.len() - 1
+                }
+            };
+            let t0 = Instant::now();
+            let decision = greedy_preempt(
+                &mut queue,
+                QueueEntry {
+                    id: slot as u64,
+                    task: m.task,
+                    exec_us: m.exec_us,
+                    left_us: left,
+                    arrival_us: now,
+                },
+            );
+            let decision_ns = t0.elapsed().as_nanos() as u64;
+            recorder.record(Event::PreemptDecision {
+                req: a.id,
+                position: decision.position,
+                comparisons: decision.comparisons,
+                stop: decision.stop.as_str().into(),
+                decision_ns,
+                // The discrete-event simulator has no slot-publish
+                // step: the decision is applied synchronously, so
+                // publish-to-applied equals the greedy scan itself.
+                publish_ns: decision_ns,
+                t_us: now,
+            });
+            debug_assert!(
+                decision.position < queue.len(),
+                "greedy_preempt returned position {} past queue of {}",
+                decision.position,
+                queue.len()
+            );
+            recorder.record(Event::Enqueue {
+                req: a.id,
+                position: decision.position,
+                displaced: queue
+                    .len()
+                    .saturating_sub(1)
+                    .saturating_sub(decision.position),
+                t_us: now,
+            });
         } else {
-            {
-                // Block completion first.
-                let te = t_block_end.expect("block end exists");
-                now = te;
-                let (id, _) = running.take().expect("block end without running block");
-                if states[&id].blocks.is_empty() {
-                    // Request finished: drop its queue entry and record.
-                    let pos = queue
-                        .iter()
-                        .position(|e| e.id == id)
-                        .expect("running request is queued");
-                    queue.remove(pos);
-                    let st = states.remove(&id).expect("state");
-                    completions.push(Completion {
-                        id,
-                        model: st.model.name.clone(),
-                        task: st.model.task,
-                        arrival_us: st.arrival_us,
-                        start_us: st.started.expect("started"),
-                        end_us: now,
-                        exec_us: st.model.exec_us,
-                    });
-                }
-                // Otherwise the request stays queued at its position; the
-                // dispatch step picks whoever is at the head now — that is
-                // exactly where block-boundary preemption happens.
+            // Block completion first.
+            now = t_block_end.expect("block end exists");
+            let (slot, _) = running.take().expect("block end without running block");
+            let st = &slots[slot];
+            if st.blocks.is_empty() {
+                // Request finished: drop its queue entry, free its slot
+                // and record.
+                let pos = queue
+                    .iter()
+                    .position(|e| e.id == slot as u64)
+                    .expect("running request is queued");
+                queue.remove(pos);
+                free.push(slot);
+                completions.push(Completion {
+                    id: st.id,
+                    model: st.model.name.clone(),
+                    task: st.model.task,
+                    arrival_us: st.arrival_us,
+                    start_us: st.started.expect("started"),
+                    end_us: now,
+                    exec_us: st.model.exec_us,
+                });
             }
+            // Otherwise the request stays queued at its position; the
+            // dispatch step picks whoever is at the head now — that is
+            // exactly where block-boundary preemption happens.
         }
     }
 
-    completions.sort_by(|a, b| a.end_us.total_cmp(&b.end_us).then(a.id.cmp(&b.id)));
+    // Completions come out in end order already unless two share an
+    // instant; only then does the id tie-break need a sort.
+    let by_end =
+        |a: &Completion, b: &Completion| a.end_us.total_cmp(&b.end_us).then(a.id.cmp(&b.id));
+    if !completions.is_sorted_by(|a, b| by_end(a, b).is_le()) {
+        completions.sort_by(by_end);
+    }
     SimResult {
         completions,
         trace,
@@ -285,7 +305,12 @@ mod tests {
         assert!((long.end_us - 76_000.0).abs() < 1e-9);
         // Full preemption: the long model's remaining blocks run
         // contiguously after the short request (no interleaving).
-        let events: Vec<&str> = r.trace.events().iter().map(|e| e.label.as_str()).collect();
+        let events: Vec<String> = r
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.label.to_string())
+            .collect();
         assert_eq!(
             events,
             vec!["long#0/b0", "short#1/b0", "long#0/b1", "long#0/b2"]
@@ -348,11 +373,9 @@ mod tests {
         assert_eq!(r.completions.len(), 12);
         // Later requests run vanilla (60 ms each, one trace event), so the
         // tail of the trace must contain unsplit long spans.
-        let has_vanilla_span = r
-            .trace
-            .events()
-            .iter()
-            .any(|e| e.label.starts_with("long") && (e.duration_us() - 60_000.0).abs() < 1e-6);
+        let has_vanilla_span = r.trace.events().iter().any(|e| {
+            e.label.to_string().starts_with("long") && (e.duration_us() - 60_000.0).abs() < 1e-6
+        });
         assert!(has_vanilla_span, "flood must trigger vanilla execution");
     }
 

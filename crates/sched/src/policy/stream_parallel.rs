@@ -49,8 +49,10 @@ pub fn stream_parallel(
         .map(|d| {
             let a = &arrivals[d.id as usize];
             let m = models.get(&a.model);
-            trace.record(
-                format!("{}#{}", m.name, d.id),
+            trace.record_block(
+                m.name.clone(),
+                d.id,
+                None,
                 (d.id % 8) as usize,
                 d.start_us,
                 d.end_us,

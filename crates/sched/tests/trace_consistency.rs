@@ -76,7 +76,7 @@ fn clockwork_trace_is_one_span_per_request() {
             .trace
             .events()
             .iter()
-            .filter(|e| e.label == label)
+            .filter(|e| e.label == *label)
             .collect();
         assert_eq!(spans.len(), 1);
         assert!((spans[0].duration_us() - c.exec_us).abs() < 1e-9);
@@ -94,7 +94,7 @@ fn prema_trace_covers_each_request_exactly_once() {
             .trace
             .events()
             .iter()
-            .filter(|e| e.label == label)
+            .filter(|e| e.label == *label)
             .collect();
         assert_eq!(spans.len(), 1, "request {}", c.id);
         assert!(spans[0].duration_us() >= c.exec_us - 1e-9);
@@ -111,7 +111,7 @@ fn npu_prema_trace_chunks_sum_to_exec() {
             .trace
             .events()
             .iter()
-            .filter(|e| e.label == label)
+            .filter(|e| e.label == *label)
             .collect();
         let traced: f64 = spans.iter().map(|e| e.duration_us()).sum();
         // Work plus at most one switch overhead per chunk.

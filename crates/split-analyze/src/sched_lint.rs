@@ -19,7 +19,6 @@
 //!   produced a structurally different result on a second run
 
 use crate::diag::{Diagnostic, Report};
-use gpu_sim::parse_block_label;
 use sched::{simulate, ModelTable, Policy, SimResult};
 use split_telemetry::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,7 +110,7 @@ pub fn lint_schedule(arrivals: &[Arrival], result: &SimResult, cfg: &ScheduleLin
     // Attribute device spans to requests.
     let mut spans: BTreeMap<u64, Vec<Span>> = BTreeMap::new();
     for e in result.trace.events() {
-        let Some((_, req, block)) = parse_block_label(&e.label) else {
+        let Some((_, req, block)) = e.label.block() else {
             continue;
         };
         spans.entry(req).or_default().push(Span {

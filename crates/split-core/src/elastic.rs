@@ -44,35 +44,29 @@ impl ElasticConfig {
     /// same-type fraction a fraction, and `min_samples` at least 1 (a
     /// zero-sample same-type rule would fire on an empty window).
     pub fn validate(&self) -> Result<(), String> {
+        let bad = |rule: &str, got: f64| Err(format!("{rule}, got {got}")); // allowed-format: config check, not per request
         if !(self.window_us.is_finite() && self.window_us > 0.0) {
-            return Err(format!(
-                "window_us must be positive, got {}",
-                self.window_us
-            ));
+            return bad("window_us must be positive", self.window_us);
         }
         if !(self.density_off_per_s.is_finite() && self.density_off_per_s >= 0.0) {
-            return Err(format!(
-                "density_off_per_s must be finite and non-negative, got {}",
-                self.density_off_per_s
-            ));
+            return bad(
+                "density_off_per_s must be finite and non-negative",
+                self.density_off_per_s,
+            );
         }
         if !(self.density_on_per_s.is_finite() && self.density_on_per_s >= 0.0) {
-            return Err(format!(
-                "density_on_per_s must be finite and non-negative, got {}",
-                self.density_on_per_s
-            ));
+            return bad(
+                "density_on_per_s must be finite and non-negative",
+                self.density_on_per_s,
+            );
         }
-        if self.density_on_per_s > self.density_off_per_s {
-            return Err(format!(
-                "hysteresis band inverted: density_on_per_s ({}) must be ≤ density_off_per_s ({})",
-                self.density_on_per_s, self.density_off_per_s
-            ));
+        let (on, off) = (self.density_on_per_s, self.density_off_per_s);
+        if on > off {
+            let band = format!("density_on_per_s ({on}) must be ≤ density_off_per_s ({off})"); // allowed-format: config check
+            return Err("hysteresis band inverted: ".to_string() + &band);
         }
         if !(0.0..=1.0).contains(&self.same_type_frac) {
-            return Err(format!(
-                "same_type_frac must be within [0, 1], got {}",
-                self.same_type_frac
-            ));
+            return bad("same_type_frac must be within [0, 1]", self.same_type_frac);
         }
         if self.min_samples == 0 {
             return Err("min_samples must be at least 1".into());
@@ -115,6 +109,11 @@ pub struct ElasticController {
     cfg: ElasticConfig,
     /// Recent arrivals: (time, task type).
     window: VecDeque<(f64, u32)>,
+    /// Arrivals per task inside `window`, one `(task, count)` entry per
+    /// task present, kept in step as arrivals enter and leave. A short
+    /// list rather than a table indexed by task id: the live server
+    /// feeds client-chosen ids through here.
+    counts: Vec<(u32, usize)>,
     /// Current mode (true = splitting enabled).
     splitting: bool,
 }
@@ -131,6 +130,7 @@ impl ElasticController {
         Self {
             cfg,
             window: VecDeque::new(),
+            counts: Vec::new(),
             splitting: true,
         }
     }
@@ -139,9 +139,22 @@ impl ElasticController {
     /// dispatched *split* (true) or vanilla (false).
     pub fn on_arrival(&mut self, now_us: f64, task: u32) -> bool {
         self.window.push_back((now_us, task));
-        while let Some(&(t, _)) = self.window.front() {
+        match self.counts.iter_mut().find(|(t, _)| *t == task) {
+            Some((_, c)) => *c += 1,
+            None => self.counts.push((task, 1)),
+        }
+        while let Some(&(t, old)) = self.window.front() {
             if now_us - t > self.cfg.window_us {
                 self.window.pop_front();
+                let i = self
+                    .counts
+                    .iter()
+                    .position(|(t, _)| *t == old)
+                    .expect("every windowed task is counted");
+                self.counts[i].1 -= 1;
+                if self.counts[i].1 == 0 {
+                    self.counts.swap_remove(i);
+                }
             } else {
                 break;
             }
@@ -150,20 +163,11 @@ impl ElasticController {
         let n = self.window.len();
         let rate_per_s = n as f64 / (self.cfg.window_us / 1e6);
 
-        let mut dominant = 0usize;
-        if n >= self.cfg.min_samples {
-            // BTreeMap keeps the tally iteration deterministic (audited by
-            // split-analyze; a HashMap is order-safe here only because max()
-            // over counts is commutative, but determinism is cheaper than
-            // that argument).
-            let mut counts = std::collections::BTreeMap::new();
-            for &(_, t) in &self.window {
-                *counts.entry(t).or_insert(0usize) += 1;
-            }
-            dominant = counts.values().copied().max().unwrap_or(0);
-        }
-        let same_type_flood =
-            n >= self.cfg.min_samples && (dominant as f64 / n as f64) >= self.cfg.same_type_frac;
+        // The largest count is the same whatever order the list is in.
+        let same_type_flood = n >= self.cfg.min_samples && {
+            let dominant = self.counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
+            (dominant as f64 / n as f64) >= self.cfg.same_type_frac
+        };
 
         if self.splitting {
             if rate_per_s > self.cfg.density_off_per_s || same_type_flood {

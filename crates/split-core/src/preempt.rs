@@ -100,6 +100,18 @@ pub enum StopReason {
     NoGain,
 }
 
+impl StopReason {
+    /// The variant's name, as recorded in a decision event's `stop`
+    /// label: a static string, so recording a decision allocates nothing.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StopReason::QueueHead => "QueueHead",
+            StopReason::SameTask => "SameTask",
+            StopReason::NoGain => "NoGain",
+        }
+    }
+}
+
 /// Insert `new` into `queue` (ordered head-first) with the greedy
 /// preemption rule: bubble `new` forward past each neighbor of a different
 /// task while its key `left_us · exec_us` is strictly smaller (Smith's
@@ -243,6 +255,19 @@ mod tests {
     }
 
     const ALPHA: f64 = 4.0;
+
+    /// The static label is the variant name the recordings have always
+    /// carried (it used to be rendered with `{:?}` per decision).
+    #[test]
+    fn stop_label_is_the_variant_name() {
+        for s in [
+            StopReason::QueueHead,
+            StopReason::SameTask,
+            StopReason::NoGain,
+        ] {
+            assert_eq!(s.as_str(), format!("{s:?}"));
+        }
+    }
 
     #[test]
     fn empty_queue_inserts_at_head() {

@@ -368,7 +368,7 @@ fn handle_infer(
         req: id,
         position: decision.position,
         comparisons: decision.comparisons,
-        stop: format!("{:?}", decision.stop),
+        stop: decision.stop.as_str().into(),
         decision_ns,
         publish_ns,
         t_us: now,

@@ -14,6 +14,7 @@
 //! completion per arrival, and no same-stream block overlap — and is the
 //! backbone of the cross-policy property tests.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
@@ -49,8 +50,9 @@ pub enum Event {
         position: usize,
         /// Queue entries examined.
         comparisons: usize,
-        /// Why the scan stopped (policy-specific label).
-        stop: String,
+        /// Why the scan stopped (policy-specific label; a static name
+        /// such as `split_core::StopReason::as_str` on the hot paths).
+        stop: Cow<'static, str>,
         /// Wall-clock cost of the decision itself (ns).
         decision_ns: u64,
         /// Wall-clock latency from the client publishing the request

@@ -333,7 +333,7 @@ pub fn recorder_from_trace_events(doc: &Value) -> Result<Recorder, String> {
                             req,
                             position: arg_u64(e, "position").unwrap_or(0) as usize,
                             comparisons: arg_u64(e, "comparisons").unwrap_or(0) as usize,
-                            stop: arg_str(e, "stop"),
+                            stop: arg_str(e, "stop").into(),
                             decision_ns: arg_u64(e, "decision_ns").unwrap_or(0),
                             publish_ns: arg_u64(e, "publish_ns").unwrap_or(0),
                             t_us: ts,

@@ -37,6 +37,37 @@ use serde::{Deserialize, Serialize};
 /// Default relative-accuracy parameter `α` (1%).
 pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
+/// Values below this (2^17, ~131 ms in µs) get their bucket index from
+/// a table at the default `α` instead of a `ln` per sample: recording is
+/// the per-request cost of the drift watch, and `ln` was most of it.
+const SMALL_VALUES: u64 = 1 << 17;
+
+/// `γ = (1+α)/(1−α)`.
+fn gamma_of(alpha: f64) -> f64 {
+    (1.0 + alpha) / (1.0 - alpha)
+}
+
+/// Bucket index of a positive value: `⌈ln(v)/ln(γ)⌉`. v = 1 maps to
+/// index 0 (ln 1 = 0); u64::MAX to ~ln(2^64)/ln(γ).
+fn ln_index(v: u64, ln_gamma: f64) -> i32 {
+    ((v as f64).ln() / ln_gamma).ceil() as i32
+}
+
+/// The bucket index of every value below [`SMALL_VALUES`] at the default
+/// `α`, computed once by the very expression a lookup replaces, so the
+/// two can never disagree. 256 KiB, built by the first default
+/// [`QuantileSketch::new`].
+fn default_small_indices() -> &'static [i16] {
+    static TABLE: std::sync::OnceLock<Box<[i16]>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let ln_gamma = gamma_of(DEFAULT_SKETCH_ALPHA).ln();
+        // Index 0 stands in for the value 0, which is never looked up.
+        (0..SMALL_VALUES)
+            .map(|v| ln_index(v.max(1), ln_gamma) as i16)
+            .collect()
+    })
+}
+
 /// Mergeable quantile sketch with a relative-error guarantee.
 ///
 /// See the [module docs](self) for the accuracy proof sketch and the
@@ -77,7 +108,12 @@ impl QuantileSketch {
             alpha > 0.0 && alpha < 1.0,
             "sketch alpha must be in (0, 1), got {alpha}"
         );
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let gamma = gamma_of(alpha);
+        if alpha.to_bits() == DEFAULT_SKETCH_ALPHA.to_bits() {
+            // Build the table here rather than on a first `record`, which
+            // may sit on a serving thread.
+            default_small_indices();
+        }
         Self {
             alpha,
             gamma,
@@ -96,11 +132,15 @@ impl QuantileSketch {
         self.alpha
     }
 
-    /// Bucket index for a positive value: `⌈ln(v)/ln(γ)⌉`.
+    /// Bucket index for a positive value: [`ln_index`]. At the default
+    /// `α`, values below [`SMALL_VALUES`] read it from a table that holds
+    /// that same expression's result for each of them.
     fn index_of(&self, v: u64) -> i32 {
         debug_assert!(v > 0);
-        // v = 1 maps to index 0 (ln 1 = 0); u64::MAX to ~ln(2^64)/ln(γ).
-        ((v as f64).ln() / self.ln_gamma).ceil() as i32
+        if v < SMALL_VALUES && self.alpha.to_bits() == DEFAULT_SKETCH_ALPHA.to_bits() {
+            return i32::from(default_small_indices()[v as usize]);
+        }
+        ln_index(v, self.ln_gamma)
     }
 
     /// Representative value of bucket `i`: `2γ^i/(γ+1)`, the point whose
@@ -110,6 +150,7 @@ impl QuantileSketch {
     }
 
     /// Record one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         if v == 0 {
             self.zero += 1;
@@ -282,6 +323,17 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The small-value table is a cache of `ln_index`, never a second
+    /// bucketing rule: every entry, and the first value past the table,
+    /// agree with the formula.
+    #[test]
+    fn small_value_table_is_the_ln_formula() {
+        let s = QuantileSketch::default();
+        for v in 1..=SMALL_VALUES {
+            assert_eq!(s.index_of(v), ln_index(v, s.ln_gamma), "v = {v}");
+        }
+    }
 
     /// Exact quantile under the sketch's rank convention.
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {

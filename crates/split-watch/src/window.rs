@@ -111,7 +111,8 @@ pub struct WindowRing {
     capacity: usize,
     /// Index of the open window.
     index: u64,
-    total: WindowStats,
+    /// Exclusive end of the open window, µs: `(index + 1) · window_us`.
+    open_end_us: f64,
     /// Open window's per-model accumulators (sorted into a `BTreeMap`
     /// only at rotation).
     models: Vec<(String, WindowStats)>,
@@ -142,7 +143,7 @@ impl WindowRing {
             sketch_alpha,
             capacity,
             index: 0,
-            total: WindowStats::new(sketch_alpha),
+            open_end_us: window_us,
             models: Vec::new(),
             last_model: 0,
             open_dirty: false,
@@ -156,11 +157,6 @@ impl WindowRing {
     /// Window width, µs.
     pub fn window_us(&self) -> f64 {
         self.window_us
-    }
-
-    /// Exclusive end of the open window, µs.
-    fn open_end_us(&self) -> f64 {
-        (self.index + 1) as f64 * self.window_us
     }
 
     /// Number of windows closed so far.
@@ -187,10 +183,22 @@ impl WindowRing {
     /// frames oldest-first. A sample arriving at exactly `(k+1)·w`
     /// therefore rotates window `k` out *before* it is recorded, landing
     /// it in window `k+1` (half-open `[start, end)` semantics).
+    #[inline]
     pub fn advance(&mut self, t_us: f64) -> Vec<WindowFrame> {
         assert!(!self.finalized, "ring already finalized");
+        if t_us < self.open_end_us {
+            return Vec::new();
+        }
+        self.rotate_through(t_us)
+    }
+
+    /// The rare half of [`WindowRing::advance`], kept out of line so the
+    /// per-observation check stays small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn rotate_through(&mut self, t_us: f64) -> Vec<WindowFrame> {
         let mut out = Vec::new();
-        while t_us >= self.open_end_us() {
+        while t_us >= self.open_end_us {
             out.push(self.rotate());
         }
         out
@@ -212,24 +220,30 @@ impl WindowRing {
     }
 
     fn rotate(&mut self) -> WindowFrame {
-        // The aggregate sketch is assembled here, once per window,
-        // rather than on every completion: merging the per-model
-        // sketches yields state bit-identical to per-sample recording
-        // (buckets are integer counts keyed by index).
-        let mut total = std::mem::replace(&mut self.total, WindowStats::new(self.sketch_alpha));
+        // The aggregate is assembled here, once per window, rather than
+        // on every observation: summing the per-model counters and
+        // merging their sketches yields state bit-identical to
+        // per-sample double-recording (buckets are integer counts keyed
+        // by index).
+        let mut total = WindowStats::new(self.sketch_alpha);
         let models: BTreeMap<String, WindowStats> = self.models.drain(..).collect();
         self.last_model = 0;
         for s in models.values() {
             total.sketch.merge(&s.sketch);
+            total.completions += s.completions;
+            total.violations += s.violations;
+            total.arrivals += s.arrivals;
+            total.drops += s.drops;
         }
         let frame = WindowFrame {
             index: self.index,
             start_us: self.index as f64 * self.window_us,
-            end_us: self.open_end_us(),
+            end_us: self.open_end_us,
             total,
             models,
         };
         self.index += 1;
+        self.open_end_us = (self.index + 1) as f64 * self.window_us;
         self.open_dirty = false;
         self.closed_count += 1;
         if self.closed.len() == self.capacity {
@@ -246,23 +260,32 @@ impl WindowRing {
             .is_some_and(|(n, _)| n == model)
         {
             self.last_model
-        } else if let Some(i) = self.models.iter().position(|(n, _)| n == model) {
-            i
         } else {
-            self.models
-                .push((model.to_string(), WindowStats::new(self.sketch_alpha)));
-            self.models.len() - 1
+            match self.models.iter().position(|(n, _)| n == model) {
+                Some(i) => i,
+                None => self.add_model(model),
+            }
         };
         self.last_model = idx;
         &mut self.models[idx].1
     }
 
+    /// A model's first observation in the open window: out of line, like
+    /// [`WindowRing::rotate_through`], so the lookup above stays small.
+    #[cold]
+    #[inline(never)]
+    fn add_model(&mut self, model: &str) -> usize {
+        self.models
+            .push((model.to_string(), WindowStats::new(self.sketch_alpha)));
+        self.models.len() - 1
+    }
+
     /// Record an arrival at `t_us`. Returns any frames the implied
     /// [`WindowRing::advance`] closed.
+    #[inline]
     pub fn observe_arrival(&mut self, t_us: f64, model: &str) -> Vec<WindowFrame> {
         let closed = self.advance(t_us);
         self.fed.arrivals += 1;
-        self.total.arrivals += 1;
         self.model_stats(model).arrivals += 1;
         self.open_dirty = true;
         closed
@@ -270,6 +293,7 @@ impl WindowRing {
 
     /// Record a completion at `t_us` with its end-to-end latency and
     /// QoS verdict. Returns any frames the implied advance closed.
+    #[inline]
     pub fn observe_completion(
         &mut self,
         t_us: f64,
@@ -278,11 +302,9 @@ impl WindowRing {
         violated: bool,
     ) -> Vec<WindowFrame> {
         let closed = self.advance(t_us);
-        let sample = e2e_us.max(0.0).round() as u64;
+        let sample = round_to_u64(e2e_us);
         self.fed.completions += 1;
         self.fed.violations += u64::from(violated);
-        self.total.completions += 1;
-        self.total.violations += u64::from(violated);
         let m = self.model_stats(model);
         m.completions += 1;
         m.violations += u64::from(violated);
@@ -296,16 +318,63 @@ impl WindowRing {
     pub fn observe_drop(&mut self, t_us: f64, model: &str) -> Vec<WindowFrame> {
         let closed = self.advance(t_us);
         self.fed.drops += 1;
-        self.total.drops += 1;
         self.model_stats(model).drops += 1;
         self.open_dirty = true;
         closed
     }
 }
 
+/// `x.max(0.0).round() as u64`, bit for bit, without `f64::round`: the
+/// baseline x86-64 target has no rounding instruction, and the software
+/// rounding it falls back to was a large share of recording a sample.
+/// Truncate, then round half away from zero on the exact remainder
+/// (`x − ⌊x⌋` is exact for every non-negative double).
+fn round_to_u64(x: f64) -> u64 {
+    let x = x.max(0.0);
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_u64_matches_round() {
+        let edges = [
+            0.0,
+            -0.0,
+            -3.5,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            2_000.499_9,
+            2_000.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_993.0,
+            9.3e18,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut x = 0.37f64;
+        let spread = (0..10_000).map(|_| {
+            x = (x * 7_919.0 + 0.123).fract();
+            x * 10f64.powi((x * 22.0) as i32)
+        });
+        for v in edges.into_iter().chain(spread) {
+            assert_eq!(round_to_u64(v), v.max(0.0).round() as u64, "{v:e}");
+        }
+    }
 
     fn ring() -> WindowRing {
         WindowRing::new(100.0, 8, 0.01)
