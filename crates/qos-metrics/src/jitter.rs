@@ -21,7 +21,7 @@ pub struct JitterRow {
 pub fn per_model_std(outcomes: &[RequestOutcome]) -> Vec<JitterRow> {
     let mut groups: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for o in outcomes {
-        groups.entry(o.model.as_str()).or_default().push(o.e2e_us);
+        groups.entry(&*o.model).or_default().push(o.e2e_us);
     }
     groups
         .into_iter()

@@ -1,14 +1,15 @@
 //! Latency violation rate versus the latency-target multiplier α.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The outcome of one served request, as the metrics see it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestOutcome {
     /// Request id.
     pub id: u64,
-    /// Model name.
-    pub model: String,
+    /// Model name, shared with the deployment's interned name.
+    pub model: Arc<str>,
     /// Isolated (uninterrupted) execution time `Ext`, µs — the basis of
     /// the latency target (§2.1).
     pub exec_us: f64,

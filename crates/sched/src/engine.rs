@@ -83,7 +83,10 @@ impl SimResult {
     }
 
     /// Derive a metrics registry (decision latency, jump counts, e2e and
-    /// wait histograms, …) from the lifecycle recording.
+    /// wait histograms, …) from the lifecycle recording, in one pass over
+    /// it: see [`split_telemetry::registry_from_events`] for the exact
+    /// per-request definition. Every fleet shard calls this once, so its
+    /// cost is per request on the fleet path.
     pub fn metrics(&self) -> split_telemetry::Registry {
         split_telemetry::registry_from_events(&self.recorder)
     }
@@ -132,19 +135,7 @@ impl SimResult {
     /// same schedule iff the digests match — the cheap equality the
     /// cluster determinism tests and SA601 compare across thread counts.
     pub fn schedule_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        for c in &self.completions {
-            eat(c.id);
-            eat(c.start_us.to_bits());
-            eat(c.end_us.to_bits());
-        }
-        h
+        completions_digest(&self.completions)
     }
 
     /// Drift-watch view of this run: replay the lifecycle through a
@@ -160,6 +151,29 @@ impl SimResult {
         watch.finalize();
         watch.report()
     }
+}
+
+/// FNV-1a over the little-endian bytes of `words`: the one fold behind
+/// [`SimResult::schedule_digest`] and the fleet's shard and cluster
+/// digests.
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf29ce484222325, |mut h, w| {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+        h
+    })
+}
+
+/// [`fnv1a`] over every completion's id and exact start/end bits, in
+/// the given order.
+pub fn completions_digest(completions: &[Completion]) -> u64 {
+    fnv1a(
+        completions
+            .iter()
+            .flat_map(|c| [c.id, c.start_us.to_bits(), c.end_us.to_bits()]),
+    )
 }
 
 /// Number of utilization samples synthesized over a trace's span.

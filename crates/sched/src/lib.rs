@@ -23,5 +23,5 @@ pub mod engine;
 pub mod policy;
 pub mod request;
 
-pub use engine::{attach_lifecycle, simulate, Policy, SimResult};
+pub use engine::{attach_lifecycle, completions_digest, fnv1a, simulate, Policy, SimResult};
 pub use request::{Completion, ModelRuntime, ModelTable};

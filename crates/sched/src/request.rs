@@ -165,7 +165,7 @@ impl Completion {
     pub fn to_outcome(&self) -> qos_metrics::RequestOutcome {
         qos_metrics::RequestOutcome {
             id: self.id,
-            model: self.model.to_string(),
+            model: Arc::clone(&self.model),
             exec_us: self.exec_us,
             e2e_us: self.e2e_us(),
         }

@@ -77,14 +77,16 @@ impl ClusterResult {
     }
 
     /// Cluster-level QoS outcomes, sorted by request id (deterministic
-    /// regardless of shard interleaving).
+    /// regardless of shard interleaving). Routing sends each arrival to
+    /// exactly one lane, so the ids are distinct and an unstable sort
+    /// gives the one order.
     pub fn outcomes(&self) -> Vec<qos_metrics::RequestOutcome> {
         let mut out: Vec<qos_metrics::RequestOutcome> = self
             .shards
             .iter()
             .flat_map(|s| s.completions.iter().map(Completion::to_outcome))
             .collect();
-        out.sort_by_key(|o| o.id);
+        out.sort_unstable_by_key(|o| o.id);
         out
     }
 
@@ -92,18 +94,7 @@ impl ClusterResult {
     /// the single number two runs must agree on to have produced the
     /// same cluster schedule.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        for s in &self.shards {
-            eat(s.lane as u64);
-            eat(s.digest);
-        }
-        h
+        sched::fnv1a(self.shards.iter().flat_map(|s| [s.lane as u64, s.digest]))
     }
 
     /// Merge every shard's metrics registry (counters add, gauges take
@@ -208,10 +199,15 @@ fn summarize(
     }
     let mut sketches: BTreeMap<String, QuantileSketch> = BTreeMap::new();
     for c in &completions {
-        sketches
-            .entry(c.model.to_string())
-            .or_insert_with(|| QuantileSketch::new(SKETCH_ALPHA))
-            .record(c.e2e_us().round() as u64);
+        let sample = c.e2e_us().round() as u64;
+        match sketches.get_mut(&*c.model) {
+            Some(sketch) => sketch.record(sample),
+            None => {
+                let mut sketch = QuantileSketch::new(SKETCH_ALPHA);
+                sketch.record(sample);
+                sketches.insert(c.model.to_string(), sketch);
+            }
+        }
     }
     let (busy_us, span_us) = {
         let events = result.trace.events();
@@ -225,21 +221,7 @@ fn summarize(
     };
     // Digest over the remapped completions so it is comparable across
     // routing policies and thread counts.
-    let digest = {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        for c in &completions {
-            eat(c.id);
-            eat(c.start_us.to_bits());
-            eat(c.end_us.to_bits());
-        }
-        h
-    };
+    let digest = sched::completions_digest(&completions);
     ShardReport {
         lane,
         device: info.device,

@@ -161,11 +161,21 @@ impl LaneState {
     }
 }
 
-/// Route `arrivals` over the fleet's lanes.
+/// Route `arrivals`, which must be in nondecreasing arrival time (as
+/// every workload generator emits them), over the fleet's lanes.
+///
+/// Each arrival's model is looked up once, in per-call tables of its
+/// candidate lanes and of their `exec_us`. A lane's queue is drained
+/// lazily, when it is picked: its finish times only grow and arrivals
+/// come in time order, so draining at the pick leaves the same queue as
+/// draining at every arrival. The policies that pick by outstanding work
+/// never read another lane's queue; join-shortest-queue reads every
+/// candidate's length, so it drains them all first.
 ///
 /// # Panics
-/// Panics when an arrival references a model with no placement, or when
-/// the placement names a device outside the fleet.
+/// Panics when an arrival references a model with no placement, when
+/// the placement names a device outside the fleet, or when a placed
+/// model is missing from one of its lanes' tables.
 pub fn route(
     arrivals: &[Arrival],
     fleet: &Fleet,
@@ -173,8 +183,11 @@ pub fn route(
     cfg: &RouteCfg,
 ) -> RouteOutcome {
     let lane_count = fleet.lanes().len();
-    // model → candidate lane list (all lanes of every replica device).
-    let mut candidates: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    // Per placed model: its index, its candidate lanes (all lanes of
+    // every replica device) and each candidate's execution time.
+    let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(placement.len());
+    let mut exec_us: Vec<Vec<f64>> = Vec::with_capacity(placement.len());
     for (model, devices) in placement.iter() {
         let mut lanes = Vec::new();
         for &d in devices {
@@ -185,7 +198,14 @@ pub fn route(
             );
             lanes.extend_from_slice(fleet.device_lanes(d));
         }
-        candidates.insert(model.as_str(), lanes);
+        index.insert(model.as_str(), candidates.len());
+        exec_us.push(
+            lanes
+                .iter()
+                .map(|&lane| fleet.lane_table(lane).get(model).exec_us)
+                .collect(),
+        );
+        candidates.push(lanes);
     }
 
     let mut states: Vec<LaneState> = (0..lane_count)
@@ -204,18 +224,20 @@ pub fn route(
     }
 
     for a in arrivals {
-        let cands = candidates
+        let m = *index
             .get(a.model.as_str())
             .unwrap_or_else(|| panic!("model {:?} has no placement", a.model));
+        let cands = &candidates[m];
         let t = a.arrival_us;
-        for &lane in cands {
-            states[lane].drain(t);
-        }
-        let pick = match cfg.policy {
+        // Position of the picked lane within `cands`.
+        let k = match cfg.policy {
             RoutePolicy::LeastOutstandingWork => {
                 argmin_by(cands, |lane| states[lane].outstanding_us(t))
             }
             RoutePolicy::JoinShortestQueue => {
+                for &lane in cands {
+                    states[lane].drain(t);
+                }
                 argmin_by(cands, |lane| states[lane].finishes.len() as f64)
             }
             RoutePolicy::PowerOfTwoChoices => {
@@ -227,14 +249,15 @@ pub fn route(
                     states[b_lane].outstanding_us(t),
                 );
                 if sb < sa || (sb == sa && b_lane < a_lane) {
-                    b_lane
+                    j
                 } else {
-                    a_lane
+                    i
                 }
             }
         };
-        let exec = fleet.lane_table(pick).get(&a.model).exec_us;
+        let (pick, exec) = (cands[k], exec_us[m][k]);
         let st = &mut states[pick];
+        st.drain(t);
         st.work_end_us = st.work_end_us.max(t) + exec;
         st.finishes.push_back(st.work_end_us);
         st.peak_queue = st.peak_queue.max(st.finishes.len());
@@ -271,15 +294,15 @@ pub fn route(
     }
 }
 
-/// Index of the candidate minimizing `key`, ties toward the lowest lane
-/// index. `key` must return finite values.
+/// Position in `cands` of the lane minimizing `key`, ties toward the
+/// lowest lane index. `key` must return finite values.
 fn argmin_by(cands: &[usize], key: impl Fn(usize) -> f64) -> usize {
-    let mut best = cands[0];
-    let mut best_key = key(best);
-    for &lane in &cands[1..] {
+    let mut best = 0;
+    let mut best_key = key(cands[0]);
+    for (pos, &lane) in cands.iter().enumerate().skip(1) {
         let k = key(lane);
-        if k < best_key || (k == best_key && lane < best) {
-            best = lane;
+        if k < best_key || (k == best_key && lane < cands[best]) {
+            best = pos;
             best_key = k;
         }
     }

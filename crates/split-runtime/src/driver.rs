@@ -30,7 +30,7 @@ impl DriveReport {
             .filter(|r| r.status == RequestStatus::Completed)
             .map(|r| qos_metrics::RequestOutcome {
                 id: r.id,
-                model: r.model.clone(),
+                model: r.model.as_str().into(),
                 exec_us: r.exec_us,
                 e2e_us: r.e2e_us(),
             })

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+mod exposition;
 pub mod lifecycle;
 pub mod metrics;
 pub mod perfetto;
